@@ -1,22 +1,19 @@
-//! Sustained-load comparison of the two `siro-serve` engines.
+//! Sustained-load gate for the `siro-serve` event engine.
 //!
-//! Boots the **event** engine and the legacy **threaded** engine on
-//! loopback with identical worker pools (`SIRO_THREADS`), drives each
-//! with the same open-loop rate sweep from `siro-loadgen` (latencies
-//! measured from *scheduled* arrival — no coordinated omission), and
-//! reports each engine's max sustained RPS at the p99 SLO. The point of
-//! the comparison is connection scalability: the schedule is spread over
-//! many more connections than there are workers, which costs the
-//! threaded engine two OS threads per connection while the event engine
-//! runs one reactor thread regardless.
+//! Boots the daemon on loopback (`SIRO_THREADS` workers), drives it with
+//! an open-loop rate sweep from `siro-loadgen` (latencies measured from
+//! *scheduled* arrival — no coordinated omission), and reports the max
+//! sustained RPS at the p99 SLO. The schedule is spread over many more
+//! connections than there are workers, so the sweep also exercises
+//! connection scalability: one reactor thread owns every socket.
 //!
-//! Dumps `BENCH_loadtest.json` (`siro-bench/loadtest-v1`, path
+//! Dumps `BENCH_loadtest.json` (`siro-bench/loadtest-v2`, path
 //! overridable via `SIRO_BENCH_LOADTEST_JSON`) and exits non-zero when
-//! the event engine fails to reach `SIRO_LOADTEST_MIN_RATIO` (default
-//! 2.0, `0` disables the gate) times the threaded max sustained rate.
+//! the max sustained rate falls below `SIRO_LOADTEST_MIN_RPS` (default
+//! 10000, `0` disables the floor).
 //!
 //! Knobs: `SIRO_LOADTEST_CONNS` (default 384), `SIRO_LOADTEST_DURATION_MS`
-//! (default 4000 — long enough that an engine that can only *briefly*
+//! (default 4000 — long enough that a server that can only *briefly*
 //! survive a rate tips over instead of squeaking through the step),
 //! `SIRO_LOADTEST_RATES` (comma-separated req/s, default
 //! `2500,5000,10000,12000,15000,20000` — swept ascending, since max
@@ -27,7 +24,7 @@ use std::time::Duration;
 use siro_bench::perf;
 use siro_ir::IrVersion;
 use siro_loadgen::{corpus_payloads, sweep, EngineRun, LoadgenConfig};
-use siro_serve::{EngineMode, ServeConfig, TranslateMode};
+use siro_serve::{ServeConfig, TranslateMode};
 
 /// Version-pair mix for the sweep. Requests use [`TranslateMode::Reference`]
 /// so each request does real (but cheap) translate work on one shared core
@@ -66,44 +63,8 @@ fn env_rates(default: &[f64]) -> Vec<f64> {
         .unwrap_or_else(|| default.to_vec())
 }
 
-fn run_engine(engine: EngineMode, base: &LoadgenConfig) -> EngineRun {
-    let handle = siro_serve::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        queue_capacity: 512,
-        read_timeout: Duration::from_millis(100),
-        engine,
-        ..ServeConfig::default()
-    })
-    .expect("bind loopback server");
-    let label = match engine {
-        EngineMode::Event => "event",
-        EngineMode::Threaded => "threaded",
-    };
-    siro_bench::banner(&format!(
-        "loadtest [{label}]: {} workers on {}, {} connections, SLO p99 <= {} ms",
-        handle.workers(),
-        handle.addr(),
-        base.connections,
-        base.slo_p99_ms
-    ));
-    let config = LoadgenConfig {
-        addr: handle.addr(),
-        ..base.clone()
-    };
-    let report = sweep(&config).expect("rate sweep");
-    print!("{}", siro_loadgen::render_table(&report));
-    let run = EngineRun {
-        engine: label.to_string(),
-        workers: handle.workers(),
-        connections: config.connections,
-        report,
-    };
-    handle.shutdown();
-    run
-}
-
 fn main() {
-    let min_ratio = env_f64("SIRO_LOADTEST_MIN_RATIO", 2.0);
+    let min_rps = env_f64("SIRO_LOADTEST_MIN_RPS", 10_000.0);
     let base = LoadgenConfig {
         connections: env_usize("SIRO_LOADTEST_CONNS", 384),
         duration: Duration::from_millis(env_usize("SIRO_LOADTEST_DURATION_MS", 4000) as u64),
@@ -115,38 +76,51 @@ fn main() {
         ..LoadgenConfig::default()
     };
 
-    let runs = vec![
-        run_engine(EngineMode::Event, &base),
-        run_engine(EngineMode::Threaded, &base),
-    ];
-
-    let event = runs[0].report.max_sustained_rps;
-    let threaded = runs[1].report.max_sustained_rps;
-    let ratio = if threaded > 0.0 {
-        event / threaded
-    } else {
-        0.0
-    };
+    let handle = siro_serve::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        queue_capacity: 512,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback server");
     siro_bench::banner(&format!(
-        "max sustained RPS at SLO: event {event:.0}, threaded {threaded:.0} \
-         ({ratio:.2}x, gate {min_ratio}x)"
+        "loadtest [event]: {} workers on {}, {} connections, SLO p99 <= {} ms",
+        handle.workers(),
+        handle.addr(),
+        base.connections,
+        base.slo_p99_ms
+    ));
+    let config = LoadgenConfig {
+        addr: handle.addr(),
+        ..base
+    };
+    let report = sweep(&config).expect("rate sweep");
+    print!("{}", siro_loadgen::render_table(&report));
+    let run = EngineRun {
+        engine: "event".into(),
+        workers: handle.workers(),
+        connections: config.connections,
+        report,
+    };
+    handle.shutdown();
+
+    let sustained = run.report.max_sustained_rps;
+    siro_bench::banner(&format!(
+        "max sustained RPS at SLO: {sustained:.0} (floor {min_rps:.0})"
     ));
 
-    let json = siro_loadgen::render_loadtest_json(&runs);
+    let json = siro_loadgen::render_loadtest_json(&[run]);
     match perf::write_loadtest_json(&json) {
         Ok(path) => println!("loadtest record written to {}", path.display()),
         Err(e) => eprintln!("warning: writing loadtest JSON: {e}"),
     }
 
     assert!(
-        event > 0.0,
+        sustained > 0.0,
         "the event engine met the SLO at no swept rate — lower the rates or raise the SLO"
     );
-    if min_ratio > 0.0 {
-        assert!(
-            threaded == 0.0 || ratio >= min_ratio,
-            "event engine sustained only {ratio:.2}x the threaded baseline \
-             (gate {min_ratio}x; relax with SIRO_LOADTEST_MIN_RATIO)"
-        );
-    }
+    assert!(
+        sustained >= min_rps,
+        "the event engine sustained only {sustained:.0} req/s \
+         (floor {min_rps:.0}; relax with SIRO_LOADTEST_MIN_RPS)"
+    );
 }

@@ -725,7 +725,7 @@ pub fn loadtest_json_path() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("BENCH_loadtest.json"))
 }
 
-/// Writes the pre-rendered `siro-bench/loadtest-v1` document (see
+/// Writes the pre-rendered `siro-bench/loadtest-v2` document (see
 /// `siro_loadgen::render_loadtest_json`) and returns the path written.
 ///
 /// # Errors

@@ -185,6 +185,13 @@ fn parse_body(
     Ok(())
 }
 
+/// Characters of an unquoted `%local` / `@global` name: LLVM's unquoted
+/// identifier set `[-a-zA-Z$._0-9]`, so writer output such as
+/// `@http-parser_fn_0` reparses.
+fn is_name_char(ch: char) -> bool {
+    ch.is_ascii_alphanumeric() || matches!(ch, '_' | '.' | '-' | '$')
+}
+
 fn label_to_name(label: &str) -> String {
     // Writer emits `name.N`; recover the name part for cosmetics.
     match label.rsplit_once('.') {
@@ -1031,7 +1038,7 @@ impl<'a> Cursor<'a> {
         self.pos += 1;
         let start = self.pos;
         while let Some(ch) = self.rest().chars().next() {
-            if ch.is_ascii_alphanumeric() || ch == '_' || ch == '.' {
+            if is_name_char(ch) {
                 self.pos += ch.len_utf8();
             } else {
                 break;
@@ -1048,7 +1055,7 @@ impl<'a> Cursor<'a> {
         self.pos += 1;
         let start = self.pos;
         while let Some(ch) = self.rest().chars().next() {
-            if ch.is_ascii_alphanumeric() || ch == '_' || ch == '.' {
+            if is_name_char(ch) {
                 self.pos += ch.len_utf8();
             } else {
                 break;

@@ -207,7 +207,7 @@ entry:
 fn workload_modules_roundtrip() {
     // Bigger, generated modules (globals + many functions) survive the trip
     // in both dialect families.
-    for spec in siro_workloads::table4_projects().iter().take(3) {
+    for spec in &siro_workloads::table4_projects() {
         for (fe, version) in [
             (siro_workloads::Frontend::Low, IrVersion::V3_6),
             (siro_workloads::Frontend::High, IrVersion::V13_0),

@@ -420,8 +420,8 @@ pub fn sweep(config: &LoadgenConfig) -> Result<LoadReport, String> {
     }
     // "Sustained" is prefix-monotone: a server that blows the SLO at a
     // low rate has not sustained any higher rate, even if a later step
-    // happens to squeak through — metastable engines (thread-per-
-    // connection under scheduler pressure) produce exactly that pattern.
+    // happens to squeak through — metastable servers (a scheduler
+    // pile-up that clears for one step) produce exactly that pattern.
     let max_sustained_rps = rates
         .iter()
         .take_while(|r| r.slo_met)
@@ -434,10 +434,11 @@ pub fn sweep(config: &LoadgenConfig) -> Result<LoadReport, String> {
     })
 }
 
-/// One engine's sweep, labelled for the old-vs-new comparison JSON.
+/// One labelled sweep, as recorded in the loadtest JSON.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
-    /// Engine label (`"event"` / `"threaded"`).
+    /// Where the sweep ran: `"event"` for an in-process daemon,
+    /// `"remote"` for an already-running one.
     pub engine: String,
     /// Worker threads the server ran with.
     pub workers: usize,
@@ -447,33 +448,14 @@ pub struct EngineRun {
     pub report: LoadReport,
 }
 
-/// Renders the `siro-bench/loadtest-v1` JSON document for a set of
-/// engine sweeps (hand-rolled like the rest of `siro-bench`: flat,
+/// Renders the `siro-bench/loadtest-v2` JSON document for a set of
+/// sweeps (hand-rolled like the rest of `siro-bench`: flat,
 /// stable key order, no JSON dependency).
 pub fn render_loadtest_json(runs: &[EngineRun]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"siro-bench/loadtest-v1\",");
-    let ratio = {
-        let max_of = |name: &str| {
-            runs.iter()
-                .find(|r| r.engine == name)
-                .map(|r| r.report.max_sustained_rps)
-        };
-        match (max_of("event"), max_of("threaded")) {
-            (Some(e), Some(t)) if t > 0.0 => Some(e / t),
-            _ => None,
-        }
-    };
-    match ratio {
-        Some(r) => {
-            let _ = writeln!(out, "  \"ratio_event_over_threaded\": {r:.3},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"ratio_event_over_threaded\": null,");
-        }
-    }
+    let _ = writeln!(out, "  \"schema\": \"siro-bench/loadtest-v2\",");
     out.push_str("  \"engines\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str("    {\n");
@@ -607,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn loadtest_json_names_both_engines_and_the_ratio() {
+    fn loadtest_json_names_each_run() {
         let report = LoadReport {
             slo_p99_ms: 50.0,
             rates: vec![RateReport {
@@ -633,8 +615,8 @@ mod tests {
                 report: report.clone(),
             },
             EngineRun {
-                engine: "threaded".into(),
-                workers: 4,
+                engine: "remote".into(),
+                workers: 0,
                 connections: 8,
                 report: LoadReport {
                     max_sustained_rps: 50.0,
@@ -643,10 +625,11 @@ mod tests {
             },
         ];
         let json = render_loadtest_json(&runs);
-        assert!(json.contains("\"schema\": \"siro-bench/loadtest-v1\""));
+        assert!(json.contains("\"schema\": \"siro-bench/loadtest-v2\""));
         assert!(json.contains("\"engine\": \"event\""));
-        assert!(json.contains("\"engine\": \"threaded\""));
-        assert!(json.contains("\"ratio_event_over_threaded\": 2.000"));
+        assert!(json.contains("\"engine\": \"remote\""));
+        assert!(json.contains("\"max_sustained_rps\": 50.000"));
+        assert!(!json.contains("ratio"));
         assert!(json.contains("\"slo_met\": true"));
     }
 }

@@ -9,7 +9,7 @@
 //! whole pool) down.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -19,42 +19,19 @@ use crate::queue::BoundedQueue;
 use crate::reactor::Completions;
 use crate::stats::Metrics;
 
-/// Where a finished job's response goes. The threaded engine routes
-/// through the connection writer's channel; the event engine pushes onto
-/// the reactor's completion queue (which wakes the reactor so it can
-/// write the frame from the event loop).
-pub struct Reply(ReplyKind);
-
-enum ReplyKind {
-    Channel(mpsc::Sender<(u64, Response)>),
-    Reactor {
-        completions: std::sync::Arc<Completions>,
-        conn: u64,
-    },
+/// Where a finished job's response goes: the reactor's completion
+/// queue, tagged with the owning connection (pushing wakes the reactor
+/// so it can write the frame from the event loop).
+pub struct Reply {
+    pub(crate) completions: Arc<Completions>,
+    pub(crate) conn: u64,
 }
 
 impl Reply {
-    /// A reply routed to a per-connection writer thread.
-    pub fn channel(tx: mpsc::Sender<(u64, Response)>) -> Reply {
-        Reply(ReplyKind::Channel(tx))
-    }
-
-    /// A reply routed back to the reactor for connection `conn`.
-    pub(crate) fn reactor(completions: std::sync::Arc<Completions>, conn: u64) -> Reply {
-        Reply(ReplyKind::Reactor { completions, conn })
-    }
-
     /// Delivers the response. The connection may already be gone (client
-    /// hung up mid-flight); delivery to a dead endpoint is a no-op.
+    /// hung up mid-flight); the reactor drops replies to dead connections.
     pub fn send(&self, id: u64, response: Response) {
-        match &self.0 {
-            ReplyKind::Channel(tx) => {
-                let _ = tx.send((id, response));
-            }
-            ReplyKind::Reactor { completions, conn } => {
-                completions.push(*conn, id, response);
-            }
-        }
+        self.completions.push(self.conn, id, response);
     }
 }
 
@@ -149,25 +126,43 @@ mod tests {
         (queue, pool)
     }
 
+    fn job(completions: &Arc<Completions>, id: u64, request: Request) -> Job {
+        Job {
+            id,
+            request,
+            reply: Reply {
+                completions: Arc::clone(completions),
+                conn: 7,
+            },
+            enqueued: Instant::now(),
+        }
+    }
+
+    /// Every finished `(id, response)`, in completion order.
+    fn replies(completions: &Completions) -> Vec<(u64, Response)> {
+        completions
+            .drain()
+            .into_iter()
+            .map(|c| {
+                assert_eq!(c.conn, 7, "reply routed to its connection");
+                (c.id, c.response)
+            })
+            .collect()
+    }
+
     #[test]
     fn pool_executes_jobs_and_drains_on_close() {
         let (queue, pool) = pool_fixture(2, 8);
-        let (tx, rx) = mpsc::channel();
+        let (completions, _wake_rx) = Completions::new().expect("completion queue");
         for id in 0..5u64 {
             queue
-                .try_push(Job {
-                    id,
-                    request: Request::Ping { delay_ms: 0 },
-                    reply: Reply::channel(tx.clone()),
-                    enqueued: Instant::now(),
-                })
+                .try_push(job(&completions, id, Request::Ping { delay_ms: 0 }))
                 .unwrap_or_else(|_| panic!("queue full"));
         }
-        drop(tx);
         queue.close();
         pool.join();
-        let mut ids: Vec<u64> = rx
-            .iter()
+        let mut ids: Vec<u64> = replies(&completions)
+            .into_iter()
             .map(|(id, r)| {
                 assert_eq!(r, Response::Pong);
                 id
@@ -180,30 +175,23 @@ mod tests {
     #[test]
     fn bad_module_yields_error_response_and_pool_survives() {
         let (queue, pool) = pool_fixture(1, 4);
-        let (tx, rx) = mpsc::channel();
-        let bad = Job {
-            id: 1,
-            request: Request::Translate {
+        let (completions, _wake_rx) = Completions::new().expect("completion queue");
+        let bad = job(
+            &completions,
+            1,
+            Request::Translate {
                 source: IrVersion::V13_0.into(),
                 target: IrVersion::V3_6.into(),
                 mode: TranslateMode::Reference,
                 text: "garbage".into(),
             },
-            reply: Reply::channel(tx.clone()),
-            enqueued: Instant::now(),
-        };
-        let good = Job {
-            id: 2,
-            request: Request::Ping { delay_ms: 0 },
-            reply: Reply::channel(tx.clone()),
-            enqueued: Instant::now(),
-        };
+        );
+        let good = job(&completions, 2, Request::Ping { delay_ms: 0 });
         queue.try_push(bad).unwrap_or_else(|_| panic!("push"));
         queue.try_push(good).unwrap_or_else(|_| panic!("push"));
-        drop(tx);
         queue.close();
         pool.join();
-        let responses: Vec<(u64, Response)> = rx.iter().collect();
+        let responses = replies(&completions);
         assert_eq!(responses.len(), 2);
         assert!(matches!(
             responses[0].1,

@@ -1,15 +1,15 @@
-//! The nonblocking event-loop engine (the `event` serving mode).
+//! The nonblocking event-loop engine that serves every connection.
 //!
 //! One **reactor** thread owns every socket — the listener and all
 //! connections — registered with a level-triggered [`Poller`]. It does
 //! all the I/O: nonblocking accepts, framed reads, framed writes with
 //! per-connection write queues. CPU-bound work (translate / synthesize)
 //! never runs on the reactor: decoded data-plane requests go through the
-//! same bounded queue and worker pool as the threaded engine, and
-//! finished responses come back over the [`Completions`] queue, which
-//! wakes the reactor via a self-pipe.
+//! bounded queue to the worker pool, and finished responses come back
+//! over the [`Completions`] queue, which wakes the reactor via a
+//! self-pipe.
 //!
-//! Compared to thread-per-connection this decouples *open connections*
+//! Unlike thread-per-connection serving, this decouples *open connections*
 //! from *threads*: ten thousand idle connections cost ten thousand fds,
 //! not ten thousand stacks, and a stalled peer holds only its own write
 //! queue, never a thread.
@@ -22,8 +22,7 @@
 //! 2. **admission control** — when enabled, the per-peer token bucket
 //!    rejects over-budget requests with a structured `Throttled`
 //!    carrying retry-after (one greedy client cannot starve the rest);
-//! 3. **bounded queue** — `Busy` when the global queue is full, exactly
-//!    as in the threaded engine.
+//! 3. **bounded queue** — `Busy` when the global queue is full.
 //!
 //! The accept loop backs off on failure (EMFILE/ENFILE and other
 //! transient errors): the listener is *deregistered* for an exponentially
@@ -67,10 +66,10 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// One finished job on its way back from a worker to the reactor.
-struct Completion {
-    conn: u64,
-    id: u64,
-    response: Response,
+pub(crate) struct Completion {
+    pub(crate) conn: u64,
+    pub(crate) id: u64,
+    pub(crate) response: Response,
 }
 
 /// The worker → reactor return path: a queue of finished responses plus
@@ -110,7 +109,7 @@ impl Completions {
         let _ = (&self.wake_tx).write(&[1]);
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    pub(crate) fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 
@@ -450,8 +449,7 @@ impl Reactor {
 
     /// Splits complete `u32 length + payload` frames off the front of the
     /// connection's read buffer. An oversized length prefix kills the
-    /// connection (mirroring the threaded engine, where the stream can no
-    /// longer be trusted to be in sync).
+    /// connection: the stream can no longer be trusted to be in sync.
     fn extract_frames(conn: &mut Conn) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         let mut off = 0usize;
@@ -556,7 +554,10 @@ impl Reactor {
                 let job = Job {
                     id,
                     request,
-                    reply: Reply::reactor(Arc::clone(&self.completions), token),
+                    reply: Reply {
+                        completions: Arc::clone(&self.completions),
+                        conn: token,
+                    },
                     enqueued: Instant::now(),
                 };
                 match self.shared.queue().try_push(job) {
@@ -610,8 +611,8 @@ impl Reactor {
     fn enqueue_response(stats: &ReactorStats, conn: &mut Conn, id: u64, response: &Response) {
         let payload = response.encode(id);
         if payload.len() > MAX_FRAME {
-            // Mirrors the threaded engine: an unencodable response ends
-            // the connection rather than desyncing the stream.
+            // An unencodable response ends the connection rather than
+            // desyncing the stream.
             conn.kill = true;
             return;
         }

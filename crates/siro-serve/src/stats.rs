@@ -184,9 +184,8 @@ pub struct MetricsSnapshot {
 }
 
 /// Point-in-time server gauges that accompany [`Metrics`] on the stats
-/// pages: queue and pool shape, coalescer totals, and — under the event
-/// engine — the reactor funnel. The threaded engine leaves the reactor
-/// gauges at zero.
+/// pages: queue and pool shape, coalescer totals, and the reactor
+/// funnel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeGauges {
     /// Requests currently queued.
@@ -278,7 +277,6 @@ pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
     line("router_composed", router.composed);
     line("router_composed_cached", router.composed_cached);
     line("router_fallbacks", router.fallbacks);
-    line("router_chains_persisted", router.chains_persisted);
     line("router_max_hops", router.max_hops);
     line("trace_enabled", u64::from(siro_trace::enabled()));
     out
@@ -421,11 +419,6 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
         router.composed_cached,
     );
     sample("siro_router_fallbacks_total", "counter", router.fallbacks);
-    sample(
-        "siro_router_chains_persisted_total",
-        "counter",
-        router.chains_persisted,
-    );
     sample("siro_router_max_hops", "gauge", router.max_hops);
     out.push_str(&siro_trace::export::render_prometheus_counters(
         &siro_trace::snapshot(),
@@ -513,8 +506,7 @@ mod tests {
         assert_eq!(stats_value(&page, "pairs_synthesized"), Some(2));
         assert_eq!(stats_value(&page, "coalesced_waiters"), Some(5));
         assert_eq!(stats_value(&page, "no_such_key"), None);
-        // The reactor funnel is always present (zero under the threaded
-        // engine).
+        // The reactor funnel is always present.
         assert_eq!(stats_value(&page, "reactor_loops"), Some(11));
         assert_eq!(stats_value(&page, "reactor_registered_fds"), Some(4));
         assert_eq!(

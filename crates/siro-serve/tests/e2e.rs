@@ -13,8 +13,8 @@ use std::time::Duration;
 use siro_core::{ReferenceTranslator, Skeleton};
 use siro_ir::{parse, write, IrVersion};
 use siro_serve::{
-    metrics_value, stats_value, AdmissionConfig, Client, ClientError, EngineMode, ErrorCode,
-    Response, ServeConfig, TranslateMode,
+    metrics_value, stats_value, AdmissionConfig, Client, ClientError, ErrorCode, Response,
+    ServeConfig, TranslateMode,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -33,8 +33,6 @@ fn start_server(threads: usize, queue: usize) -> siro_serve::ServerHandle {
         addr: "127.0.0.1:0".into(),
         threads: Some(threads),
         queue_capacity: queue,
-        read_timeout: Duration::from_millis(100),
-        write_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
     })
     .expect("server must bind an ephemeral port")
@@ -302,59 +300,6 @@ fn wire_shutdown_drains_in_flight_requests() {
     );
 }
 
-fn start_engine(engine: EngineMode, threads: usize, queue: usize) -> siro_serve::ServerHandle {
-    siro_serve::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        threads: Some(threads),
-        queue_capacity: queue,
-        read_timeout: Duration::from_millis(100),
-        write_timeout: Duration::from_secs(10),
-        engine,
-        ..ServeConfig::default()
-    })
-    .expect("server must bind an ephemeral port")
-}
-
-/// Acceptance: the event-loop engine and the legacy threaded engine
-/// answer TRANSLATE byte-identically — same pair, same module, both
-/// translator modes, compared response-for-response.
-#[test]
-fn event_and_threaded_engines_answer_byte_identically() {
-    let _serial = serial();
-    let event = start_engine(EngineMode::Event, 2, 32);
-    let threaded = start_engine(EngineMode::Threaded, 2, 32);
-    assert_eq!(event.engine_mode(), EngineMode::Event);
-    assert_eq!(threaded.engine_mode(), EngineMode::Threaded);
-
-    let mut on_event = Client::connect(event.addr(), TIMEOUT).expect("connect event");
-    let mut on_threaded = Client::connect(threaded.addr(), TIMEOUT).expect("connect threaded");
-    // Reserved pairs: no other test in this binary synthesizes
-    // 11.0 -> 3.0 or 9.0 -> 3.6.
-    let pairs = [
-        (IrVersion::V11_0, IrVersion::V3_0),
-        (IrVersion::V9_0, IrVersion::V3_6),
-    ];
-    for (src, tgt) in pairs {
-        for mode in [TranslateMode::Reference, TranslateMode::Synthesized] {
-            for index in 0..3 {
-                let text = corpus_module_text(src, tgt, index);
-                let a = on_event
-                    .translate(src, tgt, mode, text.clone())
-                    .expect("event engine translation");
-                let b = on_threaded
-                    .translate(src, tgt, mode, text)
-                    .expect("threaded engine translation");
-                assert_eq!(
-                    a.text, b.text,
-                    "{mode:?} {src} -> {tgt} case {index}: engines must agree byte-for-byte"
-                );
-            }
-        }
-    }
-    event.shutdown();
-    threaded.shutdown();
-}
-
 /// Acceptance: the event engine holds more concurrent open connections
 /// than it has worker threads — impossible under the old
 /// two-threads-per-connection model without spawning, here served by one
@@ -363,7 +308,7 @@ fn event_and_threaded_engines_answer_byte_identically() {
 fn event_engine_holds_more_connections_than_workers() {
     let _serial = serial();
     let workers = 2;
-    let handle = start_engine(EngineMode::Event, workers, 64);
+    let handle = start_server(workers, 64);
     let addr = handle.addr();
     let total = workers * 8 + 4;
 
@@ -404,8 +349,6 @@ fn over_budget_peer_is_throttled_with_retry_after() {
         addr: "127.0.0.1:0".into(),
         threads: Some(2),
         queue_capacity: 16,
-        read_timeout: Duration::from_millis(100),
-        write_timeout: Duration::from_secs(10),
         admission: AdmissionConfig {
             rate_per_sec: Some(1.0),
             burst: Some(1.0),

@@ -24,8 +24,7 @@
 //!   LRU-ish garbage collection;
 //! * [`router`] — the version-graph router: any `(from, to)` request over
 //!   the full catalog answered by cheapest-path composition of pairwise
-//!   translators, with composed chains memoized and persisted under their
-//!   own keys;
+//!   translators, with composed chains memoized per process;
 //! * [`compile`] — the AOT execution tier: validated translators lowered
 //!   through a [`TranslatorBackend`] into flat, pre-resolved instruction
 //!   streams (dense opcode dispatch, direct function indices, pre-bound
@@ -92,9 +91,9 @@ pub use pertest::{OracleTest, PerTestTranslator};
 pub use profile::{profile_module, ProfileTable, ProfiledInst};
 pub use refine::{CandIdx, MStar, SynthFault};
 pub use router::{
-    chain_hops_if_whole, chain_persist_key, reset_router_stats, router_stats, Acquired,
-    ComposedHop, ComposedTranslator, EdgeClass, EdgeInfo, HopKind, RouteOutcome, RoutePlan, Router,
-    RouterStats, VersionGraph, COST_COLD_US, COST_HOT_US, COST_WARM_US, OBSERVED_CAP_US,
+    reset_router_stats, router_stats, Acquired, ComposedHop, ComposedTranslator, EdgeClass,
+    EdgeInfo, HopKind, RouteOutcome, RoutePlan, Router, RouterStats, VersionGraph, COST_COLD_US,
+    COST_HOT_US, COST_WARM_US, OBSERVED_CAP_US,
 };
 pub use store::{
     active_store, oracle_corpus, reset_store_stats, set_active_store, store_stats, GcReport,

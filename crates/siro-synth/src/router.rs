@@ -55,10 +55,9 @@
 //! 3. if direct synthesis also fails — or the endpoints span dialects,
 //!    where no direct synthesis exists — the error propagates.
 //!
-//! Composed chains are memoized per process (the router's composed cache)
-//! and persisted as first-class store entries: a [`ComposedTranslator`]
-//! has its own persist key and a plaintext `.sirc` manifest naming each
-//! hop's store entry (see [`TranslatorStore::save_chain`]).
+//! Composed chains are memoized per process (the router's composed
+//! cache). Each hop's translator persists in its own store entry, so a
+//! restarted process re-composes a chain from warm hops.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +71,6 @@ use crate::bridge::{
 };
 use crate::cache::{CacheLookup, TranslatorCache};
 use crate::driver::{SynthError, SynthesisConfig, SynthesisOutcome};
-use crate::persist::fnv1a64;
 use crate::pertest::OracleTest;
 use crate::store::{active_store, oracle_corpus, StoreKey, TranslatorStore};
 use crate::wir::{wir_pair_is_hot, wir_store_name, wir_translator_cached, WirOutcome};
@@ -306,9 +304,6 @@ pub struct ComposedHop {
     pub to: DialectVersion,
     /// The hop's translator.
     pub kind: HopKind,
-    /// The hop's store entry file name (its persistent identity:
-    /// `.sirt` for Siro hops, `.sirw` for WIR hops, `.sirb` for bridges).
-    pub entry_file: String,
 }
 
 impl ComposedHop {
@@ -429,27 +424,6 @@ impl ComposedTranslator {
             )),
         }
     }
-
-    /// The chain's persist key (see [`chain_persist_key`]).
-    pub fn persist_key(&self) -> String {
-        chain_persist_key(
-            self.from,
-            self.to,
-            self.hops.iter().map(|h| h.entry_file.as_str()),
-        )
-    }
-
-    /// The plaintext manifest persisted as the chain's `.sirc` entry.
-    pub fn manifest(&self) -> String {
-        let mut out = format!(
-            "SIRC 1\nfrom {}\nto {}\ncost {}\n",
-            self.from, self.to, self.plan.cost_us
-        );
-        for hop in &self.hops {
-            out.push_str(&format!("hop {} {} {}\n", hop.from, hop.to, hop.entry_file));
-        }
-        out
-    }
 }
 
 /// How [`Router::acquire`] answered a request.
@@ -494,7 +468,6 @@ static DIRECT: AtomicU64 = AtomicU64::new(0);
 static COMPOSED: AtomicU64 = AtomicU64::new(0);
 static COMPOSED_CACHED: AtomicU64 = AtomicU64::new(0);
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static CHAINS_PERSISTED: AtomicU64 = AtomicU64::new(0);
 static MAX_HOPS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-lifetime router counters.
@@ -511,8 +484,6 @@ pub struct RouterStats {
     pub composed_cached: u64,
     /// Composed plans demoted to direct synthesis by a failing hop.
     pub fallbacks: u64,
-    /// Chain manifests persisted to the store.
-    pub chains_persisted: u64,
     /// Longest hop count acquired so far.
     pub max_hops: u64,
 }
@@ -525,7 +496,6 @@ pub fn router_stats() -> RouterStats {
         composed: COMPOSED.load(Ordering::Relaxed),
         composed_cached: COMPOSED_CACHED.load(Ordering::Relaxed),
         fallbacks: FALLBACKS.load(Ordering::Relaxed),
-        chains_persisted: CHAINS_PERSISTED.load(Ordering::Relaxed),
         max_hops: MAX_HOPS.load(Ordering::Relaxed),
     }
 }
@@ -538,7 +508,6 @@ pub fn reset_router_stats() {
         &COMPOSED,
         &COMPOSED_CACHED,
         &FALLBACKS,
-        &CHAINS_PERSISTED,
         &MAX_HOPS,
     ] {
         c.store(0, Ordering::Relaxed);
@@ -886,25 +855,14 @@ impl Router {
         edge: &EdgeInfo,
         resolve: HopResolver<'_>,
     ) -> Result<(ComposedHop, bool), SynthError> {
-        let hop = match (edge.from.dialect, edge.to.dialect) {
+        let (kind, fresh) = match (edge.from.dialect, edge.to.dialect) {
             (Dialect::Siro, Dialect::Siro) => {
                 let (a, b) = (
                     edge.from.as_siro().expect("siro edge"),
                     edge.to.as_siro().expect("siro edge"),
                 );
-                let corpus = self.corpus(a, b);
-                let (outcome, fresh) = resolve(a, b, &corpus)?;
-                let config = SynthesisConfig::new(a, b);
-                let fp = crate::cache::corpus_fingerprint(&corpus);
-                (
-                    ComposedHop {
-                        from: edge.from,
-                        to: edge.to,
-                        kind: HopKind::Siro(outcome),
-                        entry_file: StoreKey::new(&config, fp).file_name(),
-                    },
-                    fresh,
-                )
+                let (outcome, fresh) = resolve(a, b, &self.corpus(a, b))?;
+                (HopKind::Siro(outcome), fresh)
             }
             (Dialect::Wir, Dialect::Wir) => {
                 let (a, b) = (
@@ -913,15 +871,7 @@ impl Router {
                 );
                 let (outcome, fresh) =
                     wir_translator_cached(a, b).map_err(|e| SynthError::Api(e.to_string()))?;
-                (
-                    ComposedHop {
-                        from: edge.from,
-                        to: edge.to,
-                        kind: HopKind::Wir(outcome),
-                        entry_file: wir_store_name(a, b),
-                    },
-                    fresh,
-                )
+                (HopKind::Wir(outcome), fresh)
             }
             (Dialect::Siro, Dialect::Wir) => {
                 let (s, w) = (
@@ -930,15 +880,7 @@ impl Router {
                 );
                 let (outcome, fresh) =
                     bridge_cached(s, w).map_err(|e| SynthError::Api(e.to_string()))?;
-                (
-                    ComposedHop {
-                        from: edge.from,
-                        to: edge.to,
-                        kind: HopKind::Lower(outcome),
-                        entry_file: bridge_store_name(s, w),
-                    },
-                    fresh,
-                )
+                (HopKind::Lower(outcome), fresh)
             }
             (Dialect::Wir, Dialect::Siro) => {
                 let (w, s) = (
@@ -947,21 +889,18 @@ impl Router {
                 );
                 let (outcome, fresh) =
                     bridge_cached(s, w).map_err(|e| SynthError::Api(e.to_string()))?;
-                (
-                    ComposedHop {
-                        from: edge.from,
-                        to: edge.to,
-                        kind: HopKind::Raise(outcome),
-                        entry_file: bridge_store_name(s, w),
-                    },
-                    fresh,
-                )
+                (HopKind::Raise(outcome), fresh)
             }
         };
-        Ok(hop)
+        let hop = ComposedHop {
+            from: edge.from,
+            to: edge.to,
+            kind,
+        };
+        Ok((hop, fresh))
     }
 
-    /// Builds (and memoizes + persists) the composed chain for a plan.
+    /// Builds (and memoizes) the composed chain for a plan.
     fn compose(
         &self,
         plan: &RoutePlan,
@@ -984,15 +923,6 @@ impl Router {
             .lock()
             .expect("router composed cache poisoned")
             .insert((plan.from, plan.to), Arc::clone(&chain));
-        if let Some(store) = active_store() {
-            if store
-                .save_chain(&chain.persist_key(), &chain.manifest())
-                .is_ok()
-            {
-                CHAINS_PERSISTED.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("route.chains_persisted", 1);
-            }
-        }
         Ok((chain, fresh))
     }
 
@@ -1021,13 +951,10 @@ impl Router {
             let corpus = self.corpus(a, b);
             let lookup =
                 TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(a, b), &corpus)?;
-            let config = SynthesisConfig::new(a, b);
-            let fp = crate::cache::corpus_fingerprint(&corpus);
             hops.push(ComposedHop {
                 from: a.into(),
                 to: b.into(),
                 kind: HopKind::Siro(lookup.outcome),
-                entry_file: StoreKey::new(&config, fp).file_name(),
             });
             edges.push(EdgeInfo {
                 from: a.into(),
@@ -1074,49 +1001,6 @@ fn anchor_class(s: IrVersion, w: WirVersion, store: Option<&TranslatorStore>) ->
     } else {
         EdgeClass::Cold
     })
-}
-
-/// The persist key of a composed chain, e.g. `c13.0-t3.6-9e3779b97f4a7c15`
-/// or `c13.0-twir1.0-…` for a cross-dialect chain: the pair plus an FNV-1a
-/// hash over the ordered hop entry file names, so a different path (or
-/// different hop knobs) gets a different key. Siro endpoints render
-/// exactly as they did before dialects existed, so pre-dialect keys are
-/// unchanged byte for byte.
-pub fn chain_persist_key<'a>(
-    from: impl Into<DialectVersion>,
-    to: impl Into<DialectVersion>,
-    entry_files: impl Iterator<Item = &'a str>,
-) -> String {
-    let (from, to) = (from.into(), to.into());
-    let mut bytes = Vec::new();
-    for file in entry_files {
-        bytes.extend_from_slice(file.as_bytes());
-        bytes.push(0);
-    }
-    format!("c{from}-t{to}-{:016x}", fnv1a64(&bytes))
-}
-
-/// Validates a persisted chain manifest against a store: every named hop
-/// entry must still exist. Returns the hop pairs when the chain is whole.
-pub fn chain_hops_if_whole(
-    store: &TranslatorStore,
-    manifest: &str,
-) -> Option<Vec<(DialectVersion, DialectVersion)>> {
-    let mut hops = Vec::new();
-    for line in manifest.lines() {
-        let Some(rest) = line.strip_prefix("hop ") else {
-            continue;
-        };
-        let mut parts = rest.split(' ');
-        let from: DialectVersion = parts.next()?.parse().ok()?;
-        let to: DialectVersion = parts.next()?.parse().ok()?;
-        let entry_file = parts.next()?;
-        if !store.dir().join(entry_file).exists() {
-            return None;
-        }
-        hops.push((from, to));
-    }
-    (!hops.is_empty()).then_some(hops)
 }
 
 #[cfg(test)]
@@ -1262,17 +1146,6 @@ mod tests {
                 case.name
             );
         }
-    }
-
-    #[test]
-    fn persist_key_distinguishes_paths() {
-        let (from, to) = (IrVersion::V13_0, IrVersion::V3_6);
-        let via_12 = ["s13.0-t12.0-0.sirt", "s12.0-t3.6-0.sirt"];
-        let via_4 = ["s13.0-t4.0-0.sirt", "s4.0-t3.6-0.sirt"];
-        let k12 = chain_persist_key(from, to, via_12.into_iter());
-        let k4 = chain_persist_key(from, to, via_4.into_iter());
-        assert_ne!(k12, k4, "different paths must get different keys");
-        assert!(k12.starts_with("c13.0-t3.6-"));
     }
 
     // ---- dialect-aware routing ------------------------------------------

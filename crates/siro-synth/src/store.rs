@@ -77,9 +77,6 @@ pub const COMPILED_FORMAT: u16 = 1;
 /// `.sirt` entry (same stem, different extension).
 pub const COMPILED_EXT: &str = "sirx";
 
-/// File extension of composed-chain manifests (see
-/// [`TranslatorStore::save_chain`]).
-pub const CHAIN_EXT: &str = "sirc";
 /// Orphaned temp files older than this are swept by [`TranslatorStore::gc`]
 /// (a crashed writer leaves them behind; a live writer renames within
 /// milliseconds).
@@ -1072,57 +1069,6 @@ impl TranslatorStore {
         }
     }
 
-    /// The on-disk path of a composed-chain manifest, e.g.
-    /// `c13.0-t3.6-9e3779b97f4a7c15.sirc`.
-    pub fn chain_path(&self, persist_key: &str) -> PathBuf {
-        self.config.dir.join(format!("{persist_key}.{CHAIN_EXT}"))
-    }
-
-    /// Atomically persists a composed-chain manifest under its persist
-    /// key. Manifests are plaintext (`SIRC 1` header, one `hop` line per
-    /// leg) with a trailing FNV-1a checksum line; the hop translators
-    /// themselves live in their own `.sirt` entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (the temp file is cleaned up).
-    pub fn save_chain(&self, persist_key: &str, manifest: &str) -> io::Result<()> {
-        let mut bytes = manifest.as_bytes().to_vec();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
-        let final_path = self.chain_path(persist_key);
-        let tmp_path = self.config.dir.join(format!(
-            ".{persist_key}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let write = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return write;
-        }
-        siro_trace::counter("store.chain_writes", 1);
-        Ok(())
-    }
-
-    /// Loads a composed-chain manifest and validates its checksum line.
-    /// Returns the manifest body (checksum line stripped); a missing file
-    /// or checksum mismatch returns `None` — the caller simply re-composes.
-    pub fn load_chain(&self, persist_key: &str) -> Option<String> {
-        let text = fs::read_to_string(self.chain_path(persist_key)).ok()?;
-        let body = text.strip_suffix('\n').unwrap_or(&text);
-        let (body, checksum_line) = body.rsplit_once('\n')?;
-        let body = format!("{body}\n");
-        let expected = checksum_line.strip_prefix("checksum ")?;
-        let expected = u64::from_str_radix(expected.trim(), 16).ok()?;
-        (fnv1a64(body.as_bytes()) == expected).then_some(body)
-    }
-
     /// The path of a named plaintext entry (`name` carries its own
     /// extension, e.g. `w1.0-t3.0.sirw`).
     pub fn named_path(&self, name: &str) -> PathBuf {
@@ -1132,8 +1078,7 @@ impl TranslatorStore {
     /// Atomically persists a named plaintext entry with a trailing FNV-1a
     /// checksum line — the persistence channel for non-Siro translator
     /// payloads (`.sirw` WIR translators, `.sirb` bridge certificates)
-    /// that share the store directory with `.sirt`/`.sirx`/`.sirc`
-    /// entries.
+    /// that share the store directory with `.sirt`/`.sirx` entries.
     ///
     /// # Errors
     ///
@@ -1173,23 +1118,6 @@ impl TranslatorStore {
         let expected = checksum_line.strip_prefix("checksum ")?;
         let expected = u64::from_str_radix(expected.trim(), 16).ok()?;
         (fnv1a64(body.as_bytes()) == expected).then_some(body)
-    }
-
-    /// Lists every persisted `.sirc` chain manifest path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read failures.
-    pub fn chains(&self) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        for dirent in fs::read_dir(&self.config.dir)? {
-            let path = dirent?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(CHAIN_EXT) {
-                out.push(path);
-            }
-        }
-        out.sort();
-        Ok(out)
     }
 
     /// Fully re-validates every entry against the *current* oracle corpus
