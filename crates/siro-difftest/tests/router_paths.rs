@@ -25,8 +25,12 @@ use siro_ir::{FuncBuilder, IrVersion, Module, Opcode, ValueRef};
 use siro_rng::{Rng, SeedableRng, StdRng};
 use siro_synth::{
     EdgeClass, EdgeInfo, RoutePlan, SynthFault, VersionGraph, COST_COLD_US, COST_HOT_US,
-    COST_WARM_US, OBSERVED_CAP_US,
+    COST_WARM_US,
 };
+
+/// Upper bound of the random extra cost an edge may carry on top of its
+/// class cost, so the planner sees costs between the class steps too.
+const EXTRA_CAP_US: u64 = COST_COLD_US / 2;
 
 fn tiny(version: IrVersion) -> Module {
     let mut m = Module::new("tiny", version);
@@ -41,8 +45,8 @@ fn tiny(version: IrVersion) -> Module {
 }
 
 /// A random cost landscape: each ordered pair gets an edge with
-/// probability `edge_p` (percent), a random class, and a random observed
-/// latency below the cap.
+/// probability `edge_p` (percent), a random class, and — half the time —
+/// a random extra cost below [`EXTRA_CAP_US`] folded into its cost.
 fn random_graph(rng: &mut StdRng, nodes: &[IrVersion], edge_p: u32) -> VersionGraph {
     let mut edges = Vec::new();
     for &a in nodes {
@@ -60,17 +64,16 @@ fn random_graph(rng: &mut StdRng, nodes: &[IrVersion], edge_p: u32) -> VersionGr
                 EdgeClass::Warm => COST_WARM_US,
                 EdgeClass::Cold => COST_COLD_US,
             };
-            let observed = if rng.gen_range(0..2) == 0 {
-                Some(rng.gen_range(0..OBSERVED_CAP_US))
+            let extra = if rng.gen_range(0..2) == 0 {
+                rng.gen_range(0..EXTRA_CAP_US)
             } else {
-                None
+                0
             };
             edges.push(EdgeInfo {
                 from: a.into(),
                 to: b.into(),
                 class,
-                observed_us: observed,
-                cost_us: class_cost + observed.unwrap_or(0),
+                cost_us: class_cost + extra,
             });
         }
     }

@@ -6,8 +6,9 @@
 //! key serialize and the losers adopt the winner's outcome. This module
 //! adds the serving-side bookkeeping on top:
 //!
-//! * the oracle corpus for a pair is built once and reused (building it
-//!   for every request would re-render 68 modules per call);
+//! * the oracle corpus for a pair is built and fingerprinted once and
+//!   reused (building or hashing it for every request would re-render 68
+//!   modules per call);
 //! * per-pair counters (`syntheses`, `coalesced`) make the coalescing
 //!   observable — the e2e test asserts `syntheses == 1` after a stampede,
 //!   and `STATS` exposes the totals.
@@ -25,7 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use siro_ir::IrVersion;
-use siro_synth::{OracleTest, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache};
+use siro_synth::{
+    corpus_fingerprint, oracle_corpus, OracleTest, SynthError, SynthesisConfig, SynthesisOutcome,
+    TranslatorCache,
+};
 
 /// Observable per-pair counters.
 #[derive(Debug, Default)]
@@ -38,7 +42,8 @@ struct PairCounters {
 }
 
 struct PairState {
-    corpus: OnceLock<Arc<Vec<OracleTest>>>,
+    /// The pair's oracle corpus and its fingerprint, built on first use.
+    corpus: OnceLock<(Vec<OracleTest>, u64)>,
     counters: PairCounters,
 }
 
@@ -124,20 +129,16 @@ impl PairCoalescer {
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
         let state = self.state((source, target));
-        let corpus = state.corpus.get_or_init(|| {
-            Arc::new(
-                siro_testcases::corpus_for_pair(source, target)
-                    .into_iter()
-                    .map(|c| OracleTest {
-                        name: c.name.to_string(),
-                        module: c.build(source),
-                        oracle: c.oracle,
-                    })
-                    .collect(),
-            )
+        let (corpus, fingerprint) = state.corpus.get_or_init(|| {
+            let corpus = oracle_corpus(source, target);
+            let fingerprint = corpus_fingerprint(&corpus);
+            (corpus, fingerprint)
         });
-        let lookup =
-            TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(source, target), corpus)?;
+        let lookup = TranslatorCache::lookup_or_synthesize_fingerprinted(
+            SynthesisConfig::new(source, target),
+            corpus,
+            *fingerprint,
+        )?;
         if lookup.fresh {
             state.counters.syntheses.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.coalesce_fresh", 1);

@@ -287,8 +287,9 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// a guaranteed cache hit, so warm start never synthesizes. Unreadable or
 /// corrupt entries are skipped (counted by the store as corrupt) and the
 /// pair falls back to cold synthesis on first request. Finally the
-/// router's graph is built once, so the first request does not pay for
-/// every edge's oracle corpus.
+/// router's graph is built once and every primed pair is planned, so the
+/// first request pays neither for every edge's oracle corpus nor for a
+/// graph build: its plan is already memoized under the current epoch.
 ///
 /// Returns the number of entries successfully seeded.
 fn warm_start(engine: &Arc<Engine>) -> u64 {
@@ -296,6 +297,7 @@ fn warm_start(engine: &Arc<Engine>) -> u64 {
         return 0;
     };
     let mut loaded = 0u64;
+    let mut primed = Vec::new();
     for entry in store.entries().unwrap_or_default() {
         let Some(key) = entry.key else { continue };
         let tests = oracle_corpus(key.source, key.target);
@@ -312,9 +314,13 @@ fn warm_start(engine: &Arc<Engine>) -> u64 {
             // Pre-build the serving corpus for the pair; the cache slot is
             // already populated, so this cannot trigger synthesis.
             let _ = engine.coalescer().translator_for(key.source, key.target);
+            primed.push((key.source, key.target));
         }
     }
     engine.router().graph();
+    for (source, target) in primed {
+        engine.router().plan(source, target);
+    }
     siro_trace::counter("serve.warm_loaded", loaded);
     loaded
 }

@@ -273,6 +273,7 @@ pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
     line("compile_sirx_writes", compile.sirx_writes);
     let router = siro_synth::router_stats();
     line("router_plans", router.plans);
+    line("router_graph_builds", router.graph_builds);
     line("router_direct", router.direct);
     line("router_composed", router.composed);
     line("router_composed_cached", router.composed_cached);
@@ -411,6 +412,11 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
     );
     let router = siro_synth::router_stats();
     sample("siro_router_plans_total", "counter", router.plans);
+    sample(
+        "siro_router_graph_builds_total",
+        "counter",
+        router.graph_builds,
+    );
     sample("siro_router_direct_total", "counter", router.direct);
     sample("siro_router_composed_total", "counter", router.composed);
     sample(
@@ -535,6 +541,7 @@ mod tests {
         assert!(stats_value(&page, "store_corrupt").is_some());
         // The version-graph router funnel is always present too.
         assert!(stats_value(&page, "router_plans").is_some());
+        assert!(stats_value(&page, "router_graph_builds").is_some());
         assert!(stats_value(&page, "router_composed").is_some());
         assert!(stats_value(&page, "router_fallbacks").is_some());
         // The compiled-tier funnel: which tier served, and the `.sirx`

@@ -64,6 +64,8 @@ impl CacheKey {
         Self::with_fingerprint(config, corpus_fingerprint(tests))
     }
 
+    /// The key for a corpus whose [`corpus_fingerprint`] the caller
+    /// already holds, so the hot path never re-renders the corpus.
     fn with_fingerprint(config: &SynthesisConfig, corpus_fingerprint: u64) -> Self {
         CacheKey {
             source: config.source,
@@ -228,8 +230,26 @@ impl TranslatorCache {
         config: SynthesisConfig,
         tests: &[OracleTest],
     ) -> Result<CacheLookup, SynthError> {
-        let key = CacheKey::new(&config, tests);
-        let fingerprint = key.corpus_fingerprint;
+        let fingerprint = corpus_fingerprint(tests);
+        Self::lookup_or_synthesize_fingerprinted(config, tests, fingerprint)
+    }
+
+    /// [`TranslatorCache::lookup_or_synthesize`] with the corpus's
+    /// [`corpus_fingerprint`] precomputed by the caller — the serving hot
+    /// path memoizes it next to the corpus instead of re-rendering every
+    /// test module per request. `fingerprint` must be
+    /// `corpus_fingerprint(tests)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the memoized [`SynthError`] of the underlying synthesis.
+    pub fn lookup_or_synthesize_fingerprinted(
+        config: SynthesisConfig,
+        tests: &[OracleTest],
+        fingerprint: u64,
+    ) -> Result<CacheLookup, SynthError> {
+        debug_assert_eq!(fingerprint, corpus_fingerprint(tests));
+        let key = CacheKey::with_fingerprint(&config, fingerprint);
         let shard = shard_of(&key);
         let slot = {
             let mut map = shard.map.lock().expect("translator cache poisoned");
@@ -271,6 +291,9 @@ impl TranslatorCache {
         });
         let fresh = ran.get();
         let from_store = loaded.get();
+        if fresh || from_store {
+            crate::router::bump_edge_epoch();
+        }
         // First population in this process (cold synthesis or store
         // adoption): attach the compiled tier — load the `.sirx` sibling,
         // or lower eagerly and write it back. Memory hits skip this; their
@@ -334,6 +357,7 @@ impl TranslatorCache {
         if slot.set(Ok(outcome)).is_ok() {
             crate::store::note_warm_loaded();
         }
+        crate::router::bump_edge_epoch();
         true
     }
 
@@ -438,6 +462,8 @@ impl TranslatorCache {
             shard.hits.store(0, Ordering::Relaxed);
             shard.misses.store(0, Ordering::Relaxed);
         }
+        drop(guards);
+        crate::router::bump_edge_epoch();
     }
 }
 

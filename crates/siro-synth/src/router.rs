@@ -40,11 +40,19 @@
 //! * **Cold** — the translator must be synthesized or the bridge validated
 //!   ([`COST_COLD_US`] ≈ a measured full-corpus synthesis).
 //!
-//! `cost(edge) = class_cost_us + observed_hop_us`, where `observed_hop_us`
-//! is the mean duration of `route.hop` / `serve.translate` spans recorded
-//! by [`siro_trace`] for that pair (zero when tracing is off or the pair
-//! has no traffic yet). The unit is "expected microseconds to serve one
-//! request through this edge", so path costs add meaningfully.
+//! `cost(edge) = class_cost_us`. The unit is "expected microseconds to
+//! serve one request through this edge", so path costs add meaningfully.
+//! The class is the only input: no trace data, no timing.
+//!
+//! ## Plan memo
+//!
+//! Because a plan is a pure function of the edge classes, each router
+//! memoizes `(from, to) → plan` tagged with the edge-class epoch it was
+//! computed under. Every mutation that can change an edge's class bumps
+//! the epoch *after* it lands (cache slot populated or reset, WIR or
+//! bridge cache insert or reset, store write or GC, store attach or
+//! detach), so a hot repeat request costs one memo lookup and the first
+//! plan after any transition rebuilds the graph.
 //!
 //! ## Fallback ladder
 //!
@@ -61,7 +69,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use siro_ir::{Dialect, DialectVersion, IrVersion, Module};
 use siro_wir::{AnyModule, WirVersion};
@@ -81,9 +89,25 @@ pub const COST_HOT_US: u64 = 10;
 pub const COST_WARM_US: u64 = 2_000;
 /// Cost (µs) of an edge whose translator must be synthesized.
 pub const COST_COLD_US: u64 = 50_000;
-/// Cap on the observed-latency term, so one pathological trace sample
-/// cannot make a hot edge look colder than synthesis.
-pub const OBSERVED_CAP_US: u64 = COST_COLD_US / 2;
+
+/// Process-wide edge-class epoch: bumped after every mutation that can
+/// change some edge's [`EdgeClass`]. A memoized plan is current exactly
+/// while the epoch it was computed under is. The bump's `Release` pairs
+/// with `edge_epoch`'s `Acquire`: a planner that reads the bumped value
+/// also sees the mutation that preceded the bump.
+static EDGE_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// The current edge-class epoch.
+fn edge_epoch() -> u64 {
+    EDGE_EPOCH.load(Ordering::Acquire)
+}
+
+/// Invalidates every memoized plan. Call *after* the class-changing
+/// mutation has landed: a plan that read the epoch before the mutation
+/// is then stored under an epoch that is already stale.
+pub(crate) fn bump_edge_epoch() {
+    EDGE_EPOCH.fetch_add(1, Ordering::AcqRel);
+}
 
 /// Extracts the WIR-family version, if `v` names one.
 fn as_wir(v: DialectVersion) -> Option<WirVersion> {
@@ -120,10 +144,7 @@ pub struct EdgeInfo {
     pub to: DialectVersion,
     /// Acquisition class at snapshot time.
     pub class: EdgeClass,
-    /// Mean observed per-hop translate latency (µs) from trace spans,
-    /// when any traffic has been recorded.
-    pub observed_us: Option<u64>,
-    /// Total edge cost: class cost + capped observed latency.
+    /// Edge cost: the class cost in a live graph.
     pub cost_us: u64,
 }
 
@@ -232,7 +253,7 @@ impl VersionGraph {
 }
 
 /// The route chosen for one `(from, to)` request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutePlan {
     /// Requested source node.
     pub from: DialectVersion,
@@ -464,6 +485,7 @@ pub type HopResolver<'a> = &'a dyn Fn(
 // ---- process-wide router counters (read by serve STATS/METRICS) ---------
 
 static PLANS: AtomicU64 = AtomicU64::new(0);
+static GRAPH_BUILDS: AtomicU64 = AtomicU64::new(0);
 static DIRECT: AtomicU64 = AtomicU64::new(0);
 static COMPOSED: AtomicU64 = AtomicU64::new(0);
 static COMPOSED_CACHED: AtomicU64 = AtomicU64::new(0);
@@ -473,8 +495,11 @@ static MAX_HOPS: AtomicU64 = AtomicU64::new(0);
 /// Process-lifetime router counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
-    /// Route plans computed.
+    /// Route plans requested (memo hits included).
     pub plans: u64,
+    /// Version graphs built: one per plan whose memo entry was stale,
+    /// plus every explicit [`Router::graph`] / [`Router::matrix`] call.
+    pub graph_builds: u64,
     /// Acquisitions answered by a direct (≤1 hop) route.
     pub direct: u64,
     /// Acquisitions answered by a composed chain (freshly built or
@@ -492,6 +517,7 @@ pub struct RouterStats {
 pub fn router_stats() -> RouterStats {
     RouterStats {
         plans: PLANS.load(Ordering::Relaxed),
+        graph_builds: GRAPH_BUILDS.load(Ordering::Relaxed),
         direct: DIRECT.load(Ordering::Relaxed),
         composed: COMPOSED.load(Ordering::Relaxed),
         composed_cached: COMPOSED_CACHED.load(Ordering::Relaxed),
@@ -504,6 +530,7 @@ pub fn router_stats() -> RouterStats {
 pub fn reset_router_stats() {
     for c in [
         &PLANS,
+        &GRAPH_BUILDS,
         &DIRECT,
         &COMPOSED,
         &COMPOSED_CACHED,
@@ -524,10 +551,15 @@ pub struct Router {
     nodes: Vec<DialectVersion>,
     corpora: Mutex<PairMap<(Arc<Vec<OracleTest>>, u64)>>,
     composed: Mutex<HashMap<(DialectVersion, DialectVersion), Arc<ComposedTranslator>>>,
+    plans: RwLock<PlanMemo>,
 }
 
 /// Memoization table keyed by an ordered Siro version pair.
 type PairMap<T> = HashMap<(IrVersion, IrVersion), T>;
+
+/// The plan memo: `(from, to) → (epoch, plan)`, at most one entry per
+/// ordered pair of a router's nodes.
+type PlanMemo = HashMap<(DialectVersion, DialectVersion), (u64, Option<RoutePlan>)>;
 
 impl Default for Router {
     fn default() -> Self {
@@ -561,6 +593,7 @@ impl Router {
             nodes,
             corpora: Mutex::new(HashMap::new()),
             composed: Mutex::new(HashMap::new()),
+            plans: RwLock::new(HashMap::new()),
         }
     }
 
@@ -570,11 +603,10 @@ impl Router {
         self.corpus_with_fingerprint(from, to).0
     }
 
-    /// The memoized corpus *and* its [`crate::cache::corpus_fingerprint`].
-    /// The fingerprint is hashed once per pair per router, not per plan —
-    /// [`Router::graph`] probes every catalog edge on every call, and
-    /// re-hashing ~n² corpora per request was the serving hot path's
-    /// dominant cost.
+    /// The memoized corpus *and* its [`crate::cache::corpus_fingerprint`],
+    /// both computed once per pair per router. [`Router::graph`] probes
+    /// every Siro edge with the fingerprint, and the default hop resolver
+    /// looks translators up by it, so neither re-renders the corpus.
     fn corpus_with_fingerprint(
         &self,
         from: IrVersion,
@@ -587,30 +619,6 @@ impl Router {
             (corpus, fp)
         });
         (Arc::clone(corpus), *fp)
-    }
-
-    fn observed_latencies() -> HashMap<(DialectVersion, DialectVersion), u64> {
-        let mut sums: HashMap<(DialectVersion, DialectVersion), (u64, u64)> = HashMap::new();
-        for span in siro_trace::snapshot().spans {
-            if span.name != "route.hop" && span.name != "serve.translate" {
-                continue;
-            }
-            // Details look like `13.0->3.6` or `wir1.0->wir2.0`
-            // (route.hop), or `13.0->3.6 synthesized` (serve.translate).
-            let pair_str = span.detail.split(' ').next().unwrap_or("");
-            let Some((a, b)) = pair_str.split_once("->") else {
-                continue;
-            };
-            let (Ok(a), Ok(b)) = (a.parse::<DialectVersion>(), b.parse::<DialectVersion>()) else {
-                continue;
-            };
-            let e = sums.entry((a, b)).or_insert((0, 0));
-            e.0 += span.dur_ns / 1_000;
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(pair, (total_us, n))| (pair, total_us / n.max(1)))
-            .collect()
     }
 
     /// Classifies one potential edge, or `None` when the pair has no edge
@@ -654,11 +662,10 @@ impl Router {
     }
 
     /// Snapshots the version graph: classifies every edge against the
-    /// in-memory caches and the attached store, and folds in observed
-    /// per-hop latencies from the trace collector.
+    /// in-memory caches and the attached store.
     pub fn graph(&self) -> VersionGraph {
+        GRAPH_BUILDS.fetch_add(1, Ordering::Relaxed);
         let store = active_store();
-        let observed = Self::observed_latencies();
         let mut edges = HashMap::new();
         for &a in &self.nodes {
             for &b in &self.nodes {
@@ -668,20 +675,17 @@ impl Router {
                 let Some(class) = self.classify_edge(a, b, store.as_deref()) else {
                     continue;
                 };
-                let class_cost = match class {
+                let cost_us = match class {
                     EdgeClass::Hot => COST_HOT_US,
                     EdgeClass::Warm => COST_WARM_US,
                     EdgeClass::Cold => COST_COLD_US,
                 };
-                let observed_us = observed.get(&(a, b)).copied();
-                let cost_us = class_cost + observed_us.unwrap_or(0).min(OBSERVED_CAP_US);
                 edges.insert(
                     (a, b),
                     EdgeInfo {
                         from: a,
                         to: b,
                         class,
-                        observed_us,
                         cost_us,
                     },
                 );
@@ -693,9 +697,11 @@ impl Router {
         }
     }
 
-    /// Plans the cheapest route for `(from, to)` over a fresh graph
-    /// snapshot. `None` when either endpoint is off-catalog or no path
-    /// exists (including cross-dialect requests with no anchor bridge).
+    /// Plans the cheapest route for `(from, to)`: the memoized plan when
+    /// it was computed under the current edge-class epoch, otherwise the
+    /// cheapest path over a fresh graph snapshot. `None` when either
+    /// endpoint is off-catalog or no path exists (including cross-dialect
+    /// requests with no anchor bridge).
     pub fn plan(
         &self,
         from: impl Into<DialectVersion>,
@@ -704,9 +710,28 @@ impl Router {
         let (from, to) = (from.into(), to.into());
         PLANS.fetch_add(1, Ordering::Relaxed);
         siro_trace::counter("route.plans", 1);
-        let sp = siro_trace::span!("route.plan", "{from}->{to}");
+        let _sp = siro_trace::span!("route.plan", "{from}->{to}");
+        if !self.nodes.contains(&from) || !self.nodes.contains(&to) {
+            return None;
+        }
+        // Read the epoch before the snapshot: a transition racing the
+        // build bumps past it, so the stored plan is already stale.
+        let epoch = edge_epoch();
+        let memoized = self
+            .plans
+            .read()
+            .expect("router plan memo poisoned")
+            .get(&(from, to))
+            .filter(|(e, _)| *e == epoch)
+            .map(|(_, plan)| plan.clone());
+        if let Some(plan) = memoized {
+            return plan;
+        }
         let plan = self.graph().cheapest_path(from, to);
-        drop(sp);
+        self.plans
+            .write()
+            .expect("router plan memo poisoned")
+            .insert((from, to), (epoch, plan.clone()));
         plan
     }
 
@@ -738,8 +763,13 @@ impl Router {
         to: impl Into<DialectVersion>,
     ) -> Result<Acquired, SynthError> {
         self.acquire_with(from.into(), to.into(), &|a, b, tests| {
-            TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(a, b), tests)
-                .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
+            let (_, fingerprint) = self.corpus_with_fingerprint(a, b);
+            TranslatorCache::lookup_or_synthesize_fingerprinted(
+                SynthesisConfig::new(a, b),
+                tests,
+                fingerprint,
+            )
+            .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
         })
     }
 
@@ -960,7 +990,6 @@ impl Router {
                 from: a.into(),
                 to: b.into(),
                 class: EdgeClass::Hot,
-                observed_us: None,
                 cost_us: COST_HOT_US,
             });
         }
@@ -1046,7 +1075,6 @@ mod tests {
             from: from.into(),
             to: to.into(),
             class,
-            observed_us: None,
             cost_us,
         };
         let (a, m, b) = (IrVersion::V13_0, IrVersion::V12_0, IrVersion::V3_6);
@@ -1070,7 +1098,6 @@ mod tests {
             from: from.into(),
             to: to.into(),
             class: EdgeClass::Hot,
-            observed_us: None,
             cost_us,
         };
         let (a, m, b) = (IrVersion::V13_0, IrVersion::V12_0, IrVersion::V3_6);

@@ -930,6 +930,7 @@ impl TranslatorStore {
         }
         WRITES.fetch_add(1, Ordering::Relaxed);
         siro_trace::counter("store.writes", 1);
+        crate::router::bump_edge_epoch();
         if let Some(cap) = self.config.max_bytes {
             let _ = self.gc(cap);
         }
@@ -1009,6 +1010,9 @@ impl TranslatorStore {
                 // it with the entry (best-effort).
                 let _ = fs::remove_file(entry.path.with_extension(COMPILED_EXT));
             }
+        }
+        if report.removed > 0 {
+            crate::router::bump_edge_epoch();
         }
         Ok(report)
     }
@@ -1104,6 +1108,7 @@ impl TranslatorStore {
             return write;
         }
         siro_trace::counter("store.named_writes", 1);
+        crate::router::bump_edge_epoch();
         Ok(())
     }
 
@@ -1189,10 +1194,12 @@ fn active_cell() -> &'static Mutex<Option<Arc<TranslatorStore>>> {
 /// by [`crate::cache::TranslatorCache::lookup_or_synthesize`]. Returns the
 /// previously attached store.
 pub fn set_active_store(store: Option<Arc<TranslatorStore>>) -> Option<Arc<TranslatorStore>> {
-    std::mem::replace(
+    let previous = std::mem::replace(
         &mut *active_cell().lock().expect("active store poisoned"),
         store,
-    )
+    );
+    crate::router::bump_edge_epoch();
+    previous
 }
 
 /// The currently attached store, if any.

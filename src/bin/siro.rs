@@ -646,12 +646,8 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
                 Some(plan) => {
                     println!("{}", plan.describe());
                     for hop in &plan.hops {
-                        let observed = hop
-                            .observed_us
-                            .map(|us| format!(", observed {us}us"))
-                            .unwrap_or_default();
                         println!(
-                            "  {} -> {}: {} (cost {}us{observed})",
+                            "  {} -> {}: {} (cost {}us)",
                             hop.from, hop.to, hop.class, hop.cost_us
                         );
                     }
