@@ -1,6 +1,6 @@
 //! Any-to-any matrix benchmark: the version-graph router must serve
-//! every ordered pair of the full 13-version catalog, and composed
-//! routes must be byte-identical to direct synthesis.
+//! every ordered pair of both catalogs (13 Siro and 3 WIR versions), and
+//! composed Siro routes must be byte-identical to direct synthesis.
 //!
 //! Three phases over one process:
 //!
@@ -11,9 +11,11 @@
 //!    direct;
 //! 2. **plan + serve the matrix** — plan all `N·(N-1)` ordered pairs in
 //!    one snapshot (gate: zero unreachable), then acquire and run each
-//!    pair's translator on a corpus module, timing per-pair serve
-//!    latency bucketed by hop count;
-//! 3. **byte identity** — for every pair, translate the pair's full
+//!    pair's translator on a corpus module (a straight-line module when
+//!    an endpoint is WIR), timing per-pair serve latency bucketed by hop
+//!    count; Siro pairs are served first, so their routes do not depend
+//!    on the WIR translators and bridges the other pairs warm;
+//! 3. **byte identity** — for every Siro pair, translate the pair's full
 //!    oracle corpus through the served route (composed chain or direct)
 //!    and through a direct synthesis. When every version on the route
 //!    supports every opcode the module places, the rendered outputs must
@@ -31,11 +33,12 @@ use std::time::Instant;
 
 use siro_bench::perf;
 use siro_core::Skeleton;
-use siro_ir::{write, IrVersion};
+use siro_ir::{write, DialectVersion, IrVersion};
 use siro_synth::{
     set_active_store, RouteOutcome, Router, StoreConfig, SynthesisConfig, TranslatorCache,
     TranslatorStore,
 };
+use siro_wir::{AnyModule, WirVersion};
 
 fn micros(d: std::time::Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
@@ -44,6 +47,28 @@ fn micros(d: std::time::Duration) -> u64 {
 fn percentile(sorted: &[u64], pct: usize) -> u64 {
     let idx = (sorted.len().saturating_sub(1)) * pct / 100;
     sorted[idx]
+}
+
+/// The module served for `(a, b)`: the pair's first corpus case for a
+/// Siro pair, otherwise a straight-line module — raised to `a` when `a` is
+/// a Siro version (so it stays on the subset the bridges lower), or
+/// generated at the base WIR version and re-stamped to `a` (the subset
+/// every WIR version expresses).
+fn serve_input(a: DialectVersion, b: DialectVersion) -> AnyModule {
+    match (a.as_siro(), b.as_siro()) {
+        (Some(sa), Some(sb)) => {
+            AnyModule::Siro(siro_testcases::corpus_for_pair(sa, sb)[0].build(sa))
+        }
+        (Some(sa), None) => {
+            let w = siro_wir::generate_straightline(1, WirVersion::W2_0);
+            AnyModule::Siro(siro_synth::raise_module(&w, sa).expect("straight-line WIR raises"))
+        }
+        (None, _) => {
+            let mut w = siro_wir::generate_straightline(2, WirVersion::W1_0);
+            w.version = WirVersion::new(a.major, a.minor);
+            AnyModule::Wir(w)
+        }
+    }
 }
 
 fn main() {
@@ -55,10 +80,11 @@ fn main() {
     TranslatorCache::reset();
     siro_synth::reset_router_stats();
 
+    let router = Router::new();
+    let nodes = router.graph().nodes().len();
     siro_bench::banner(&format!(
-        "router_matrix: {} versions, {} ordered pairs",
-        catalog.len(),
-        catalog.len() * (catalog.len() - 1)
+        "router_matrix: {nodes} versions, {} ordered pairs",
+        nodes * (nodes - 1)
     ));
 
     // ---- Phase 1: warm the adjacent-version spine, both directions. ----
@@ -78,13 +104,12 @@ fn main() {
     );
 
     // ---- Phase 2: plan the whole matrix in one snapshot, then serve. ----
-    let router = Router::new();
     let matrix = router.matrix();
     let mut unreachable = 0usize;
     let mut direct = 0usize;
     let mut composed = 0usize;
     let mut max_hops = 0usize;
-    let mut planned: Vec<(IrVersion, IrVersion, usize)> = Vec::new();
+    let mut planned: Vec<(DialectVersion, DialectVersion, usize)> = Vec::new();
     for ((a, b), plan) in &matrix {
         if a == b {
             continue;
@@ -101,11 +126,7 @@ fn main() {
                     composed += 1;
                 }
                 max_hops = max_hops.max(p.hop_count());
-                let (sa, sb) = (
-                    a.as_siro().expect("siro-only router"),
-                    b.as_siro().expect("siro-only router"),
-                );
-                planned.push((sa, sb, p.hop_count()));
+                planned.push((*a, *b, p.hop_count()));
             }
         }
     }
@@ -115,21 +136,33 @@ fn main() {
         planned.len() + unreachable
     );
 
+    // Stable: Siro pairs first, each group in matrix order.
+    planned.sort_by_key(|&(a, b, _)| a.as_siro().is_none() || b.as_siro().is_none());
+    let siro_pairs: Vec<(IrVersion, IrVersion)> = planned
+        .iter()
+        .filter_map(|&(a, b, _)| Some((a.as_siro()?, b.as_siro()?)))
+        .collect();
+
     let mut by_hops: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for &(a, b, hops) in &planned {
-        let case = &siro_testcases::corpus_for_pair(a, b)[0];
-        let module = case.build(a);
+        let module = serve_input(a, b);
         let started = Instant::now();
         let acquired = router
             .acquire(a, b)
             .unwrap_or_else(|e| panic!("acquire {a} -> {b}: {e}"));
-        let out = match &acquired.outcome {
-            RouteOutcome::Direct(outcome) => {
-                Skeleton::new(b).translate_module(&module, &outcome.translator)
+        let out = match (&acquired.outcome, module) {
+            (RouteOutcome::Direct(outcome), AnyModule::Siro(m)) => {
+                Skeleton::new(b.as_siro().expect("direct routes are Siro pairs"))
+                    .translate_module(&m, &outcome.translator)
+                    .map(AnyModule::Siro)
             }
-            RouteOutcome::Composed(chain) => chain.translate_module(&module),
+            (RouteOutcome::Composed(chain), m) => chain.translate_any_owned(m),
+            (RouteOutcome::Direct(_), AnyModule::Wir(_)) => {
+                panic!("{a} -> {b}: a direct route for a WIR module")
+            }
         }
         .unwrap_or_else(|e| panic!("serve {a} -> {b}: {e}"));
+        assert_eq!(out.dialect_version(), b, "{a} -> {b}: wrong output node");
         by_hops
             .entry(hops)
             .or_default()
@@ -143,7 +176,7 @@ fn main() {
     let mut byte_mismatches = 0usize;
     let mut byte_cases = 0usize;
     let mut behavioral_cases = 0usize;
-    for &(a, b, _) in &planned {
+    for &(a, b) in &siro_pairs {
         // The route the matrix served: re-acquire (memoized) so composed
         // pairs compare their real chain; direct pairs compare a
         // router-ranked two-hop alternate instead, so every pair gets a
@@ -242,7 +275,7 @@ fn main() {
 
     let pass = unreachable == 0 && byte_mismatches == 0;
     let record = perf::RouterRecord {
-        nodes: catalog.len(),
+        nodes,
         pairs: planned.len() + unreachable,
         direct,
         composed,

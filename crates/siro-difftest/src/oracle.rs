@@ -445,6 +445,10 @@ fn translate_leg(
 /// Runs the same leg through the compiled tier (when enabled and the
 /// translator lowers) and demands it agrees with the interpreter: the
 /// same ok/skip/fail verdict, and byte-identical output text on success.
+/// Both compiled drivers run: the push driver
+/// ([`siro_synth::CompiledTranslator::translate_module`]) and the owned
+/// path production serves through, which tries the in-place mirror driver
+/// first ([`siro_synth::CompiledTranslator::translate_module_owned`]).
 /// Every fuzzed mutant therefore exercises *both* execution tiers — the
 /// difftest doubles as the compile backend's equivalence oracle.
 fn check_tiers(
@@ -458,40 +462,46 @@ fn check_tiers(
         return None;
     }
     let compiled = outcome.compiled()?;
-    let divergence = |detail: String| {
-        Some(Failure {
-            oracle,
-            family: FailureFamily::TierDivergence,
-            detail,
-        })
-    };
-    match (compiled.translate_module(m), interpreted) {
+    [
+        ("push", compiled.translate_module(m)),
+        ("mirror", compiled.translate_module_owned(m.clone())),
+    ]
+    .into_iter()
+    .find_map(|(driver, fast)| tier_divergence(driver, fast, interpreted))
+    .map(|detail| Failure {
+        oracle,
+        family: FailureFamily::TierDivergence,
+        detail: format!("{}→{}: compiled {detail}", m.version, tgt),
+    })
+}
+
+/// How one compiled driver's result disagrees with the interpreter's, if
+/// it does.
+fn tier_divergence(
+    driver: &str,
+    compiled: Result<Module, TranslateError>,
+    interpreted: &Result<Module, TranslateError>,
+) -> Option<String> {
+    match (compiled, interpreted) {
         (Ok(fast), Ok(slow)) => {
             let (fast, slow) = (write::write_module(&fast), write::write_module(slow));
-            if fast == slow {
-                None
-            } else {
-                divergence(format!(
-                    "{}→{}: compiled and interpreted outputs differ ({} vs {} bytes)",
-                    m.version,
-                    tgt,
+            (fast != slow).then(|| {
+                format!(
+                    "{driver} driver and interpreted outputs differ ({} vs {} bytes)",
                     fast.len(),
                     slow.len()
-                ))
-            }
+                )
+            })
         }
         (Err(ce), Err(ie)) if skippable(&ce) == skippable(ie) => None,
-        (Ok(_), Err(e)) => divergence(format!(
-            "{}→{}: compiled tier succeeded where the interpreter failed ({e})",
-            m.version, tgt
+        (Ok(_), Err(e)) => Some(format!(
+            "{driver} driver succeeded where the interpreter failed ({e})"
         )),
-        (Err(e), Ok(_)) => divergence(format!(
-            "{}→{}: compiled tier failed ({e}) where the interpreter succeeded",
-            m.version, tgt
+        (Err(e), Ok(_)) => Some(format!(
+            "{driver} driver failed ({e}) where the interpreter succeeded"
         )),
-        (Err(ce), Err(ie)) => divergence(format!(
-            "{}→{}: compiled tier error class differs: compiled `{ce}`, interpreted `{ie}`",
-            m.version, tgt
+        (Err(ce), Err(ie)) => Some(format!(
+            "{driver} driver error class differs: compiled `{ce}`, interpreted `{ie}`"
         )),
     }
 }
@@ -545,6 +555,19 @@ mod tests {
         );
         // Disjointness: the original is untouched.
         assert_eq!(write::write_module(&m), before);
+    }
+
+    #[test]
+    fn tier_divergence_names_the_driver_and_compares_bytes() {
+        let m = tiny(IrVersion::V13_0);
+        assert_eq!(
+            tier_divergence("mirror", Ok(m.arena_clone()), &Ok(m.arena_clone())),
+            None
+        );
+        let mut wrong = m.arena_clone();
+        scramble(&mut wrong);
+        let detail = tier_divergence("mirror", Ok(wrong), &Ok(m)).expect("bytes differ");
+        assert!(detail.starts_with("mirror driver"), "{detail}");
     }
 
     #[test]

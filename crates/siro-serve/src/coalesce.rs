@@ -6,9 +6,10 @@
 //! key serialize and the losers adopt the winner's outcome. This module
 //! adds the serving-side bookkeeping on top:
 //!
-//! * the oracle corpus for a pair is built and fingerprinted once and
-//!   reused (building or hashing it for every request would re-render 68
-//!   modules per call);
+//! * the oracle corpus for a pair and its fingerprint come from the
+//!   engine's [`Router`], which builds each once (building or hashing it
+//!   for every request would re-render 68 modules per call), so an engine
+//!   holds one copy of the corpus;
 //! * per-pair counters (`syntheses`, `coalesced`) make the coalescing
 //!   observable — the e2e test asserts `syntheses == 1` after a stampede,
 //!   and `STATS` exposes the totals.
@@ -23,13 +24,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use siro_ir::IrVersion;
-use siro_synth::{
-    corpus_fingerprint, oracle_corpus, OracleTest, SynthError, SynthesisConfig, SynthesisOutcome,
-    TranslatorCache,
-};
+use siro_synth::{Router, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache};
 
 /// Observable per-pair counters.
 #[derive(Debug, Default)]
@@ -41,28 +39,15 @@ struct PairCounters {
     coalesced: AtomicU64,
 }
 
-struct PairState {
-    /// The pair's oracle corpus and its fingerprint, built on first use.
-    corpus: OnceLock<(Vec<OracleTest>, u64)>,
-    counters: PairCounters,
-}
-
 /// Number of independent pair-map shards (power of two).
 pub const COALESCE_SHARDS: usize = 8;
 
-type PairMap = HashMap<(IrVersion, IrVersion), Arc<PairState>>;
+type PairMap = HashMap<(IrVersion, IrVersion), Arc<PairCounters>>;
 
 /// Coalesces translator acquisition per `(source, target)` pair.
 pub struct PairCoalescer {
+    router: Arc<Router>,
     shards: [Mutex<PairMap>; COALESCE_SHARDS],
-}
-
-impl Default for PairCoalescer {
-    fn default() -> Self {
-        PairCoalescer {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
 }
 
 /// What [`PairCoalescer::translator_for`] reports alongside the outcome.
@@ -86,9 +71,13 @@ pub struct CoalesceTotals {
 }
 
 impl PairCoalescer {
-    /// Creates an empty coalescer.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty coalescer that takes each pair's oracle corpus
+    /// from `router`.
+    pub fn new(router: Arc<Router>) -> Self {
+        PairCoalescer {
+            router,
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        }
     }
 
     fn shard(&self, pair: (IrVersion, IrVersion)) -> &Mutex<PairMap> {
@@ -106,14 +95,9 @@ impl PairCoalescer {
             .collect()
     }
 
-    fn state(&self, pair: (IrVersion, IrVersion)) -> Arc<PairState> {
+    fn counters(&self, pair: (IrVersion, IrVersion)) -> Arc<PairCounters> {
         let mut map = self.shard(pair).lock().expect("coalescer poisoned");
-        Arc::clone(map.entry(pair).or_insert_with(|| {
-            Arc::new(PairState {
-                corpus: OnceLock::new(),
-                counters: PairCounters::default(),
-            })
-        }))
+        Arc::clone(map.entry(pair).or_default())
     }
 
     /// Returns the (memoized) synthesized translator for `source -> target`,
@@ -128,22 +112,18 @@ impl PairCoalescer {
         source: IrVersion,
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
-        let state = self.state((source, target));
-        let (corpus, fingerprint) = state.corpus.get_or_init(|| {
-            let corpus = oracle_corpus(source, target);
-            let fingerprint = corpus_fingerprint(&corpus);
-            (corpus, fingerprint)
-        });
+        let counters = self.counters((source, target));
+        let (corpus, fingerprint) = self.router.corpus_with_fingerprint(source, target);
         let lookup = TranslatorCache::lookup_or_synthesize_fingerprinted(
             SynthesisConfig::new(source, target),
-            corpus,
-            *fingerprint,
+            &corpus,
+            fingerprint,
         )?;
         if lookup.fresh {
-            state.counters.syntheses.fetch_add(1, Ordering::Relaxed);
+            counters.syntheses.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.coalesce_fresh", 1);
         } else {
-            state.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            counters.coalesced.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.coalesce_joined", 1);
         }
         Ok(CoalescedLookup {
@@ -157,10 +137,10 @@ impl PairCoalescer {
         let pair = (source, target);
         let map = self.shard(pair).lock().expect("coalescer poisoned");
         map.get(&pair)
-            .map(|s| {
+            .map(|c| {
                 (
-                    s.counters.syntheses.load(Ordering::Relaxed),
-                    s.counters.coalesced.load(Ordering::Relaxed),
+                    c.syntheses.load(Ordering::Relaxed),
+                    c.coalesced.load(Ordering::Relaxed),
                 )
             })
             .unwrap_or((0, 0))
@@ -173,9 +153,9 @@ impl PairCoalescer {
         let mut t = CoalesceTotals::default();
         for map in &guards {
             t.pairs += map.len() as u64;
-            for s in map.values() {
-                t.syntheses += s.counters.syntheses.load(Ordering::Relaxed);
-                t.coalesced += s.counters.coalesced.load(Ordering::Relaxed);
+            for c in map.values() {
+                t.syntheses += c.syntheses.load(Ordering::Relaxed);
+                t.coalesced += c.coalesced.load(Ordering::Relaxed);
             }
         }
         t
@@ -186,12 +166,16 @@ impl PairCoalescer {
 mod tests {
     use super::*;
 
+    fn coalescer() -> PairCoalescer {
+        PairCoalescer::new(Arc::new(Router::new()))
+    }
+
     #[test]
     fn stampede_on_a_cold_pair_synthesizes_once() {
         // A pair no other test in this binary touches, so the process-wide
         // TranslatorCache is genuinely cold for it.
         let (src, tgt) = (IrVersion::V15_0, IrVersion::V3_6);
-        let coalescer = Arc::new(PairCoalescer::new());
+        let coalescer = Arc::new(coalescer());
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = Arc::clone(&coalescer);
@@ -218,7 +202,7 @@ mod tests {
 
     #[test]
     fn unknown_pair_reports_zero_counters() {
-        let c = PairCoalescer::new();
+        let c = coalescer();
         assert_eq!(c.pair_counters(IrVersion::V3_0, IrVersion::V3_6), (0, 0));
         assert_eq!(c.totals(), CoalesceTotals::default());
     }
@@ -237,7 +221,7 @@ mod tests {
             (IrVersion::V10_0, IrVersion::V3_0),
         ];
         const RACERS: usize = 4;
-        let coalescer = Arc::new(PairCoalescer::new());
+        let coalescer = Arc::new(coalescer());
         let mut handles = Vec::new();
         for &(src, tgt) in &pairs {
             for _ in 0..RACERS {

@@ -7,11 +7,12 @@
 //! [`ErrorCode`] instead of a panic: a malformed served module must never
 //! take down a worker.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use siro_core::{ReferenceTranslator, Skeleton};
-use siro_ir::{parse, verify, write, DialectVersion};
+use siro_ir::DialectVersion;
 use siro_synth::{RouteOutcome, Router};
 use siro_wir::AnyModule;
 
@@ -21,9 +22,8 @@ use crate::stats::Metrics;
 
 /// Shared, thread-safe request executor.
 pub struct Engine {
+    router: Arc<Router>,
     coalescer: PairCoalescer,
-    router: Router,
-    dialect_router: Router,
     metrics: Arc<Metrics>,
 }
 
@@ -37,10 +37,10 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Response {
 impl Engine {
     /// Creates an engine publishing into `metrics`.
     pub fn new(metrics: Arc<Metrics>) -> Self {
+        let router = Arc::new(Router::new());
         Engine {
-            coalescer: PairCoalescer::new(),
-            router: Router::new(),
-            dialect_router: Router::with_wir(),
+            coalescer: PairCoalescer::new(Arc::clone(&router)),
+            router,
             metrics,
         }
     }
@@ -50,17 +50,16 @@ impl Engine {
         &self.coalescer
     }
 
-    /// The version-graph router serving Siro any-pair requests.
+    /// The version-graph router serving every request, over both
+    /// catalogs. Plans between two Siro endpoints stay on Siro nodes.
     pub fn router(&self) -> &Router {
         &self.router
     }
 
-    /// The dual-catalog router serving requests with a WIR endpoint.
-    /// Separate from [`Engine::router`] on purpose: pure-Siro requests
-    /// plan over the Siro-only node set, so adding the second dialect
-    /// cannot change how existing traffic routes.
+    /// The same router as [`Engine::router`]; the name stays for callers
+    /// that pick a router by the request's dialects.
     pub fn dialect_router(&self) -> &Router {
-        &self.dialect_router
+        &self.router
     }
 
     /// Executes one already-dequeued request. `Stats` and `Shutdown` are
@@ -87,6 +86,14 @@ impl Engine {
         }
     }
 
+    /// One translation, any pair of dialects. Reference mode runs the
+    /// reference translator and serves Siro→Siro pairs only. Synthesized
+    /// mode routes over the engine's router: a direct Siro pair runs its
+    /// pairwise translator through the tiered owned path, every other
+    /// route (composed Siro chains, WIR pairs, SIRO↔WIR pairs through an
+    /// anchor bridge) runs as a composed chain. An acquisition failure
+    /// answers `Synthesis` for a Siro→Siro pair and `Unsupported`
+    /// otherwise: only Siro pairs have a direct synthesis to fall back on.
     fn translate(
         &self,
         source: DialectVersion,
@@ -94,39 +101,23 @@ impl Engine {
         mode: TranslateMode,
         text: &str,
     ) -> Response {
-        match (source.as_siro(), target.as_siro()) {
-            (Some(s), Some(t)) => self.translate_siro(s, t, mode, text),
-            _ => self.translate_cross(source, target, mode, text),
-        }
-    }
-
-    /// Any request with a WIR endpoint: WIR→WIR pairs and SIRO↔WIR
-    /// cross-dialect pairs, all served as composed chains over the
-    /// dual-catalog router (WIR translator hops, bridge hops at the
-    /// anchors). Unbridgeable pairs answer `Unsupported` — the router
-    /// reports them unreachable rather than planning a bogus chain.
-    fn translate_cross(
-        &self,
-        source: DialectVersion,
-        target: DialectVersion,
-        mode: TranslateMode,
-        text: &str,
-    ) -> Response {
         let t_start = Instant::now();
-        self.metrics
-            .translations
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.metrics
-            .cross_dialect
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        siro_trace::counter("serve.cross_dialect", 1);
-        if mode == TranslateMode::Reference {
-            return err(
-                ErrorCode::Unsupported,
-                "the reference translator only serves Siro-to-Siro pairs",
-            );
+        self.metrics.translations.fetch_add(1, Ordering::Relaxed);
+        // The Siro target, when both endpoints are Siro versions.
+        let siro_target = source.as_siro().and(target.as_siro());
+        if siro_target.is_none() {
+            self.metrics.cross_dialect.fetch_add(1, Ordering::Relaxed);
+            siro_trace::counter("serve.cross_dialect", 1);
+            if mode == TranslateMode::Reference {
+                return err(
+                    ErrorCode::Unsupported,
+                    "the reference translator only serves Siro-to-Siro pairs",
+                );
+            }
         }
 
+        // Parse + verify the incoming module; its header selects the
+        // dialect and must agree with the request's source.
         let sp = siro_trace::span!("serve.parse");
         let module = match AnyModule::parse(text) {
             Ok(m) => m,
@@ -147,39 +138,70 @@ impl Engine {
         drop(sp);
         let parse_nanos = t_start.elapsed().as_nanos() as u64;
 
-        let t_synth = Instant::now();
-        let sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
-        let acquired = match self
-            .dialect_router
-            .acquire_with(source, target, &|s, t, _tests| {
-                self.coalescer
-                    .translator_for(s, t)
-                    .map(|l| (l.outcome, l.fresh))
-            }) {
-            Ok(a) => a,
-            Err(e) => {
-                return err(
-                    ErrorCode::Unsupported,
-                    format!("acquiring {source} -> {target}: {e}"),
-                )
+        // Obtain a translator (possibly synthesizing, coalesced per pair):
+        // every Siro hop goes through the coalescer so per-pair serving
+        // counters keep working.
+        let t_acquire = Instant::now();
+        let acquired = match mode {
+            TranslateMode::Reference => None,
+            TranslateMode::Synthesized => {
+                let sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
+                let acquired = self.router.acquire_with(source, target, &|s, t, _tests| {
+                    self.coalescer
+                        .translator_for(s, t)
+                        .map(|l| (l.outcome, l.fresh))
+                });
+                drop(sp);
+                match acquired {
+                    Ok(a) => Some(a),
+                    Err(e) if siro_target.is_some() => {
+                        return err(
+                            ErrorCode::Synthesis,
+                            format!("synthesizing {source} -> {target}: {e}"),
+                        )
+                    }
+                    Err(e) => {
+                        return err(
+                            ErrorCode::Unsupported,
+                            format!("acquiring {source} -> {target}: {e}"),
+                        )
+                    }
+                }
             }
         };
-        drop(sp);
-        let synth_nanos = t_synth.elapsed().as_nanos() as u64;
+        let synth_nanos = match acquired {
+            Some(_) => t_acquire.elapsed().as_nanos() as u64,
+            None => 0,
+        };
 
-        let sp = siro_trace::span!("serve.translate", "{source}->{target} synthesized");
-        let translated = match &acquired.outcome {
-            RouteOutcome::Composed(chain) => chain.translate_any_owned(module),
-            // A WIR-endpoint request can never resolve direct (direct
-            // routes are Siro pairwise translators).
-            RouteOutcome::Direct(_) => {
+        // The request module is owned by this handler and not needed
+        // afterwards: a direct translator rewrites it in place when its
+        // compiled tier can, and a chain hands it from hop to hop.
+        let t_translate = Instant::now();
+        let label = match mode {
+            TranslateMode::Reference => "reference",
+            TranslateMode::Synthesized => "synthesized",
+        };
+        let sp = siro_trace::span!("serve.translate", "{source}->{target} {label}");
+        let translated = match (acquired.as_ref().map(|a| &a.outcome), module, siro_target) {
+            (None, AnyModule::Siro(m), Some(t)) => Skeleton::new(t)
+                .translate_module(&m, &ReferenceTranslator)
+                .map(AnyModule::Siro),
+            (Some(RouteOutcome::Direct(outcome)), AnyModule::Siro(m), Some(t)) => {
+                siro_synth::translate_module_owned_tiered(outcome, t, m).map(AnyModule::Siro)
+            }
+            (Some(RouteOutcome::Composed(chain)), m, _) => chain.translate_any_owned(m),
+            // A direct route is a Siro pairwise translator, acquired only
+            // for a Siro→Siro pair, whose module parsed as Siro.
+            _ => {
                 return err(
                     ErrorCode::Internal,
-                    "cross-dialect request resolved to a direct Siro translator",
+                    format!("{source} -> {target}: no translator fits the module's dialect"),
                 )
             }
         };
         drop(sp);
+        let translate_nanos = t_translate.elapsed().as_nanos() as u64;
         let translated = match translated {
             Ok(m) => m,
             Err(e) => {
@@ -189,12 +211,11 @@ impl Engine {
                 )
             }
         };
-        let translate_nanos = (t_synth.elapsed().as_nanos() as u64).saturating_sub(synth_nanos);
         if translated.dialect_version() != target {
             return err(
                 ErrorCode::Internal,
                 format!(
-                    "chain produced {} instead of {target}",
+                    "route produced {} instead of {target}",
                     translated.dialect_version()
                 ),
             );
@@ -207,118 +228,7 @@ impl Engine {
         let text = translated.print();
         drop(sp);
         Response::TranslateOk {
-            cache_hit: !acquired.fresh,
-            timings: StageNanos {
-                parse: parse_nanos,
-                synth: synth_nanos,
-                translate: translate_nanos,
-                total: t_start.elapsed().as_nanos() as u64,
-            },
-            text,
-        }
-    }
-
-    fn translate_siro(
-        &self,
-        source: siro_ir::IrVersion,
-        target: siro_ir::IrVersion,
-        mode: TranslateMode,
-        text: &str,
-    ) -> Response {
-        let t_start = Instant::now();
-        self.metrics
-            .translations
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-
-        // Parse + verify the incoming module; its `; IR version` header
-        // selects the dialect and must agree with the request's source.
-        let sp = siro_trace::span!("serve.parse");
-        let module = match parse::parse_module(text) {
-            Ok(m) => m,
-            Err(e) => return err(ErrorCode::Parse, format!("parsing request module: {e}")),
-        };
-        if module.version != source {
-            return err(
-                ErrorCode::Parse,
-                format!(
-                    "module text declares version {} but the request says {}",
-                    module.version, source
-                ),
-            );
-        }
-        if let Err(e) = verify::verify_module(&module) {
-            return err(ErrorCode::Verify, format!("request module: {e}"));
-        }
-        drop(sp);
-        let parse_nanos = t_start.elapsed().as_nanos() as u64;
-
-        // Obtain a translator (possibly synthesizing, coalesced per pair).
-        let t_synth = Instant::now();
-        let skeleton = Skeleton::new(target);
-        let (translated, cache_hit, synth_nanos) = match mode {
-            TranslateMode::Reference => {
-                let sp = siro_trace::span!("serve.translate", "{source}->{target} reference");
-                let r = skeleton.translate_module(&module, &ReferenceTranslator);
-                drop(sp);
-                (r, false, 0)
-            }
-            TranslateMode::Synthesized => {
-                // Any-pair serving: the router picks the cheapest route
-                // (direct or composed); every hop acquisition goes through
-                // the coalescer so per-pair serving counters keep working.
-                let sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
-                let acquired = match self.router.acquire_with(source, target, &|s, t, _tests| {
-                    self.coalescer
-                        .translator_for(s, t)
-                        .map(|l| (l.outcome, l.fresh))
-                }) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        return err(
-                            ErrorCode::Synthesis,
-                            format!("synthesizing {source} -> {target}: {e}"),
-                        )
-                    }
-                };
-                drop(sp);
-                let synth_nanos = t_synth.elapsed().as_nanos() as u64;
-                let sp = siro_trace::span!("serve.translate", "{source}->{target} synthesized");
-                // The request module is owned by this handler and not
-                // needed afterwards: hand it to the tiered owned path, so
-                // a compiled translator rewrites it in place (mirror
-                // driver) instead of rebuilding it — with transparent
-                // fallback to the compiled push driver and then the
-                // interpreter.
-                let r = match &acquired.outcome {
-                    RouteOutcome::Direct(outcome) => {
-                        siro_synth::translate_module_owned_tiered(outcome, target, module)
-                    }
-                    RouteOutcome::Composed(chain) => chain.translate_module_owned(module),
-                };
-                drop(sp);
-                (r, !acquired.fresh, synth_nanos)
-            }
-        };
-        let t_translate = Instant::now();
-        let translated = match translated {
-            Ok(m) => m,
-            Err(e) => {
-                return err(
-                    ErrorCode::Translate,
-                    format!("translating {source} -> {target}: {e}"),
-                )
-            }
-        };
-        if let Err(e) = verify::verify_module(&translated) {
-            return err(ErrorCode::Verify, format!("translated module: {e}"));
-        }
-        let translate_nanos = t_translate.duration_since(t_synth).as_nanos() as u64;
-
-        let sp = siro_trace::span!("serve.serialize");
-        let text = write::write_module(&translated);
-        drop(sp);
-        Response::TranslateOk {
-            cache_hit,
+            cache_hit: acquired.is_some_and(|a| !a.fresh),
             timings: StageNanos {
                 parse: parse_nanos,
                 synth: synth_nanos,
@@ -333,7 +243,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siro_ir::IrVersion;
+    use siro_ir::{parse, write, IrVersion};
 
     fn engine() -> Engine {
         Engine::new(Arc::new(Metrics::default()))
@@ -369,6 +279,31 @@ mod tests {
             .translate_module(&module, &ReferenceTranslator)
             .expect("in-process translation");
         assert_eq!(served, write::write_module(&expected));
+    }
+
+    #[test]
+    fn stage_timings_add_up_on_a_cold_synthesized_request() {
+        // 9.0 is the source of no other request in this binary, so the
+        // pair is cold and its plan direct: the request synthesizes.
+        let e = engine();
+        let resp = e.execute(&Request::Translate {
+            source: IrVersion::V9_0.into(),
+            target: IrVersion::V4_0.into(),
+            mode: TranslateMode::Synthesized,
+            text: sample_module(IrVersion::V9_0),
+        });
+        let Response::TranslateOk {
+            cache_hit, timings, ..
+        } = resp
+        else {
+            panic!("expected TranslateOk, got {resp:?}");
+        };
+        assert!(!cache_hit, "the pair must be cold");
+        assert!(timings.synth > 0);
+        assert!(
+            timings.parse + timings.synth + timings.translate <= timings.total,
+            "stages overlap: {timings:?}"
+        );
     }
 
     #[test]
@@ -457,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn wir_pair_serves_through_the_dialect_router() {
+    fn wir_pair_serves_through_the_router() {
         let e = engine();
         let m = siro_wir::generate_straightline(11, siro_wir::WirVersion::W1_0);
         let text = siro_wir::write::write_module(&m);

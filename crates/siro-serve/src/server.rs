@@ -21,8 +21,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use siro_synth::{
-    corpus_fingerprint, oracle_corpus, set_active_store, StoreConfig, StoreKey, SynthesisConfig,
-    TranslatorCache, TranslatorStore, ValidationMode,
+    set_active_store, StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore,
+    ValidationMode,
 };
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
@@ -281,45 +281,37 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 ///
 /// For every readable entry, the outcome is loaded and seeded into the
 /// in-process [`TranslatorCache`] via
-/// [`TranslatorCache::warm_from_store`]. Entries whose key matches the
-/// default serving configuration are additionally primed through the
-/// coalescer so the pair's serving corpus is built up front; that call is
-/// a guaranteed cache hit, so warm start never synthesizes. Unreadable or
-/// corrupt entries are skipped (counted by the store as corrupt) and the
-/// pair falls back to cold synthesis on first request. Finally the
-/// router's graph is built once and every primed pair is planned, so the
-/// first request pays neither for every edge's oracle corpus nor for a
-/// graph build: its plan is already memoized under the current epoch.
+/// [`TranslatorCache::warm_from_store`], against the oracle corpus the
+/// engine's router memoizes for the pair (and serves from afterwards).
+/// Unreadable or corrupt entries are skipped (counted by the store as
+/// corrupt) and the pair falls back to cold synthesis on first request.
+/// Finally the router's graph is built once and every pair stored under
+/// the default serving configuration is planned, so the first request
+/// pays neither for every edge's oracle corpus nor for a graph build: its
+/// plan is already memoized under the current epoch.
 ///
 /// Returns the number of entries successfully seeded.
 fn warm_start(engine: &Arc<Engine>) -> u64 {
     let Some(store) = siro_synth::active_store() else {
         return 0;
     };
+    let router = engine.router();
     let mut loaded = 0u64;
     let mut primed = Vec::new();
     for entry in store.entries().unwrap_or_default() {
         let Some(key) = entry.key else { continue };
-        let tests = oracle_corpus(key.source, key.target);
-        let config = key.config();
-        if !TranslatorCache::warm_from_store(&config, &tests) {
+        let (tests, fingerprint) = router.corpus_with_fingerprint(key.source, key.target);
+        if !TranslatorCache::warm_from_store(&key.config(), &tests) {
             continue;
         }
         loaded += 1;
-        let default_key = StoreKey::new(
-            &SynthesisConfig::new(key.source, key.target),
-            corpus_fingerprint(&tests),
-        );
-        if key == default_key {
-            // Pre-build the serving corpus for the pair; the cache slot is
-            // already populated, so this cannot trigger synthesis.
-            let _ = engine.coalescer().translator_for(key.source, key.target);
+        if key == StoreKey::new(&SynthesisConfig::new(key.source, key.target), fingerprint) {
             primed.push((key.source, key.target));
         }
     }
-    engine.router().graph();
+    router.graph();
     for (source, target) in primed {
-        engine.router().plan(source, target);
+        router.plan(source, target);
     }
     siro_trace::counter("serve.warm_loaded", loaded);
     loaded

@@ -2662,8 +2662,8 @@ impl CompiledTranslator {
     /// driver: the same walk as `Skeleton::translate_module` — same order,
     /// same counters, same errors — but with the per-function value map in
     /// dense (indexed) form and each instruction borrowed rather than
-    /// re-fetched and cloned per API call. This is the entry point the
-    /// tiered translation path ([`translate_module_tiered`]) uses; going
+    /// re-fetched and cloned per API call. This is the push rung of the
+    /// tiered translation path ([`translate_module_owned_tiered`]); going
     /// through [`Skeleton`] with a [`CompiledTranslator`] as a plain
     /// [`InstTranslator`] stays supported and produces identical bytes.
     ///
@@ -3260,47 +3260,13 @@ impl SynthesisOutcome {
 
 // ---- Tiered module translation ---------------------------------------------
 
-/// Translates a module through the outcome's best tier: compiled when
-/// available, interpreter otherwise — and interpreter again if the
-/// compiled tier errors at runtime (counted as a
-/// `translate.compiled_fallback`; both tiers implement identical
-/// semantics, so the interpreter reproduces the same result or error).
-/// Serving, routing, and difftest all translate through this single entry
-/// point.
-///
-/// # Errors
-///
-/// The interpreted tier's [`TranslateError`].
-pub fn translate_module_tiered(
-    outcome: &SynthesisOutcome,
-    target: siro_ir::IrVersion,
-    module: &Module,
-) -> TranslateResult<Module> {
-    if let Some(compiled) = outcome.compiled() {
-        match compiled.translate_module(module) {
-            Ok(m) => {
-                TRANSLATE_COMPILED.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("translate.compiled", 1);
-                return Ok(m);
-            }
-            Err(_) => {
-                RUNTIME_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("translate.compiled_fallback", 1);
-            }
-        }
-    }
-    TRANSLATE_INTERPRETED.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("translate.interpreted", 1);
-    Skeleton::new(target).translate_module(module, &outcome.translator)
-}
-
-/// [`translate_module_tiered`] for an *owned* module — the serving-shaped
-/// entry point (serving parses every request into a module it owns, and
-/// composed chains own each intermediate hop result). Runs the compiled
-/// tier's in-place mirror driver directly on the owned module, falling
-/// back — still with zero clones, because the mirror driver mutates only
-/// on success — first to the compiled push driver and then to the
-/// interpreter on the pristine input.
+/// Translates an *owned* module through the outcome's best tier — the
+/// entry point of serving (which parses every request into a module it
+/// owns) and of the router's composed chains (which own each intermediate
+/// hop result). Runs the compiled tier's in-place mirror driver directly
+/// on the owned module, falling back — still with zero clones, because the
+/// mirror driver mutates only on success — first to the compiled push
+/// driver and then to the interpreter on the pristine input.
 ///
 /// # Errors
 ///
@@ -3475,12 +3441,12 @@ mod tests {
         let tests = oracle_corpus(src, tgt);
         let was = set_compile_enabled(true);
         let before = compile_stats();
-        let a = translate_module_tiered(&outcome, tgt, &tests[0].module).unwrap();
+        let a = translate_module_owned_tiered(&outcome, tgt, tests[0].module.clone()).unwrap();
         let mid = compile_stats();
         assert_eq!(mid.translations_compiled, before.translations_compiled + 1);
         set_compile_enabled(false);
         assert!(outcome.compiled().is_none(), "disabled tier must hide");
-        let b = translate_module_tiered(&outcome, tgt, &tests[0].module).unwrap();
+        let b = translate_module_owned_tiered(&outcome, tgt, tests[0].module.clone()).unwrap();
         let after = compile_stats();
         assert_eq!(
             after.translations_interpreted,

@@ -81,8 +81,8 @@ pub use cache::{
 pub use candgen::{generate_all, generate_for_kind, GenLimits};
 pub use compile::{
     compile_enabled, compile_stats, reset_compile_stats, set_compile_enabled,
-    translate_module_owned_tiered, translate_module_tiered, CompileError, CompileStats,
-    CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
+    translate_module_owned_tiered, CompileError, CompileStats, CompiledKind, CompiledTranslator,
+    StreamBackend, TranslatorBackend,
 };
 pub use driver::{
     resolve_threads, threads_from_override, StageTimings, SynthError, SynthesisConfig,

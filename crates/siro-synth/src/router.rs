@@ -23,10 +23,10 @@
 //!   span dialects with no anchor on any path is reported *unreachable*
 //!   rather than served by a bogus chain.
 //!
-//! [`Router::new`] keeps the historical Siro-only node set (nothing about
-//! pure-Siro serving changes); [`Router::with_wir`] adds the WIR catalog
-//! and the anchor bridges, after which cross-dialect hops compose like any
-//! other edge.
+//! [`Router::new`] spans both catalogs, so cross-dialect hops compose like
+//! any other edge. A plan between two Siro endpoints expands only Siro
+//! nodes ([`VersionGraph::cheapest_path`]): Siro traffic never detours
+//! through a bridge, and its plans equal those over the Siro catalog alone.
 //!
 //! ## Edge-cost formula
 //!
@@ -189,7 +189,9 @@ impl VersionGraph {
 
     /// Cheapest path `from -> to` by summed edge cost (Dijkstra; ties
     /// broken toward fewer hops, then lower node order, so plans are
-    /// deterministic). `from == to` yields an empty-hop plan.
+    /// deterministic). `from == to` yields an empty-hop plan. When both
+    /// endpoints are Siro versions only Siro nodes are expanded, so the
+    /// plan is the one a Siro-only node set would give.
     pub fn cheapest_path(
         &self,
         from: impl Into<DialectVersion>,
@@ -211,6 +213,7 @@ impl VersionGraph {
         let mut dist: HashMap<DialectVersion, (u64, usize)> = HashMap::new();
         let mut prev: HashMap<DialectVersion, DialectVersion> = HashMap::new();
         let mut done: Vec<DialectVersion> = Vec::new();
+        let siro_only = from.dialect == Dialect::Siro && to.dialect == Dialect::Siro;
         dist.insert(from, (0, 0));
         loop {
             let (&node, &(cost, hops)) = dist
@@ -235,7 +238,7 @@ impl VersionGraph {
             }
             done.push(node);
             for (&(a, b), e) in &self.edges {
-                if a != node {
+                if a != node || (siro_only && b.dialect != Dialect::Siro) {
                     continue;
                 }
                 let next = (cost + e.cost_us, hops + 1);
@@ -568,15 +571,10 @@ impl Default for Router {
 }
 
 impl Router {
-    /// A router over the full Siro [`IrVersion::CATALOG`] (no WIR nodes;
-    /// the historical single-dialect behaviour).
-    pub fn new() -> Self {
-        Self::over(IrVersion::CATALOG.to_vec())
-    }
-
-    /// A router over both catalogs: every Siro version, every WIR version
+    /// A router over both catalogs: every Siro version
+    /// ([`IrVersion::CATALOG`]), every WIR version
     /// ([`WirVersion::CATALOG`]), and the anchor bridges between them.
-    pub fn with_wir() -> Self {
+    pub fn new() -> Self {
         let mut nodes: Vec<DialectVersion> = IrVersion::CATALOG.iter().map(|&v| v.into()).collect();
         nodes.extend(WirVersion::CATALOG.iter().map(|&v| DialectVersion::from(v)));
         Self::over_dialects(nodes)
@@ -605,9 +603,9 @@ impl Router {
 
     /// The memoized corpus *and* its [`crate::cache::corpus_fingerprint`],
     /// both computed once per pair per router. [`Router::graph`] probes
-    /// every Siro edge with the fingerprint, and the default hop resolver
-    /// looks translators up by it, so neither re-renders the corpus.
-    fn corpus_with_fingerprint(
+    /// every Siro edge with the fingerprint, and hop resolvers look
+    /// translators up by it, so none of them re-renders the corpus.
+    pub fn corpus_with_fingerprint(
         &self,
         from: IrVersion,
         to: IrVersion,
@@ -1110,6 +1108,34 @@ mod tests {
     }
 
     #[test]
+    fn siro_endpoints_never_plan_through_wir_nodes() {
+        // A hot bridge detour undercuts the cold direct edge, but a plan
+        // between two Siro endpoints expands only Siro nodes; a plan with
+        // a WIR endpoint still takes the bridge.
+        let (a, b) = (IrVersion::V13_0, IrVersion::V3_6);
+        let w: DialectVersion = WirVersion::W2_0.into();
+        let edge = |from: DialectVersion, to: DialectVersion, class, cost_us| EdgeInfo {
+            from,
+            to,
+            class,
+            cost_us,
+        };
+        let g = VersionGraph::from_edges(
+            vec![a.into(), b.into(), w],
+            vec![
+                edge(a.into(), b.into(), EdgeClass::Cold, COST_COLD_US),
+                edge(a.into(), w, EdgeClass::Hot, COST_HOT_US),
+                edge(w, b.into(), EdgeClass::Hot, COST_HOT_US),
+            ],
+        );
+        let siro = g.cheapest_path(a, b).expect("direct edge");
+        assert_eq!(siro.hop_count(), 1, "{}", siro.describe());
+        assert!(siro.is_all_siro());
+        let cross = g.cheapest_path(w, b).expect("bridge edge");
+        assert_eq!(cross.hop_count(), 1, "{}", cross.describe());
+    }
+
+    #[test]
     fn fallback_demotes_a_failing_composed_plan_to_direct() {
         // Warm the two hop edges so the plan composes, then hand acquire a
         // resolver that refuses the second hop: the fallback ladder must
@@ -1179,7 +1205,7 @@ mod tests {
 
     #[test]
     fn nodes_are_keyed_by_dialect_and_version() {
-        let g = Router::with_wir().graph();
+        let g = Router::new().graph();
         let wir1: DialectVersion = WirVersion::W1_0.into();
         let wir2: DialectVersion = WirVersion::W2_0.into();
         // WIR pairs always have an edge; anchors bridge the dialects; a
@@ -1197,7 +1223,7 @@ mod tests {
 
     #[test]
     fn cross_dialect_plans_route_through_an_anchor() {
-        let r = Router::with_wir();
+        let r = Router::new();
         let plan = r
             .plan(IrVersion::V13_0, WirVersion::W1_0)
             .expect("route exists via the 13.0<->wir2.0 anchor");
@@ -1231,7 +1257,7 @@ mod tests {
 
     #[test]
     fn wir_pairs_acquire_composed_chains_that_translate() {
-        let r = Router::with_wir();
+        let r = Router::new();
         let acquired = r
             .acquire(WirVersion::W1_0, WirVersion::W2_0)
             .expect("wir pair acquires");
@@ -1256,7 +1282,7 @@ mod tests {
 
     #[test]
     fn siro_chains_refuse_a_wir_module() {
-        let r = Router::with_wir();
+        let r = Router::new();
         let acquired = r
             .acquire(WirVersion::W1_0, WirVersion::W2_0)
             .expect("wir pair acquires");

@@ -6,9 +6,10 @@
 //! seeded script through each such transition — Siro synthesis, store
 //! adoption (lookup and warm start), WIR and bridge cache inserts, every
 //! cache reset, `save`, `save_named`, `gc`, attaching and detaching the
-//! store — and after each step requires every one of the 240 dual-catalog
-//! plans of one long-lived router to equal the cheapest path over a graph
-//! built from scratch.
+//! store — and after each step requires every one of the 240 plans of one
+//! long-lived router over both catalogs to equal the cheapest path over a
+//! graph built from scratch, and each of its 156 Siro plans to equal the
+//! plan of a router over the Siro catalog alone.
 //!
 //! The caches, the store attachment, the trace collector and the router
 //! counters are process-global, so the tests in this file serialize on one
@@ -58,9 +59,9 @@ impl Drop for TempDir {
     }
 }
 
-/// Every ordered pair of distinct dual-catalog nodes.
+/// Every ordered pair of distinct nodes of both catalogs.
 fn all_pairs() -> Vec<(DialectVersion, DialectVersion)> {
-    let nodes = Router::with_wir().graph().nodes().to_vec();
+    let nodes = Router::new().graph().nodes().to_vec();
     let mut pairs = Vec::new();
     for &a in &nodes {
         for &b in &nodes {
@@ -79,13 +80,35 @@ fn assert_memo_matches_fresh(
     pairs: &[(DialectVersion, DialectVersion)],
     step: &str,
 ) {
-    let fresh = Router::with_wir().graph();
+    let fresh = Router::new().graph();
     for &(a, b) in pairs {
         assert_eq!(
             memo.plan(a, b),
             fresh.cheapest_path(a, b),
             "after `{step}`: memoized plan {a} -> {b} is stale"
         );
+    }
+}
+
+/// Requires every Siro plan of `memo` to equal the plan of a router over
+/// the Siro catalog alone, and to stay on Siro nodes.
+fn assert_siro_plans_match_siro_only(memo: &Router, siro_only: &Router, step: &str) {
+    for &a in &IrVersion::CATALOG {
+        for &b in &IrVersion::CATALOG {
+            if a == b {
+                continue;
+            }
+            let plan = memo.plan(a, b);
+            assert_eq!(
+                plan,
+                siro_only.plan(a, b),
+                "after `{step}`: Siro plan {a} -> {b} differs from the Siro-only router's"
+            );
+            assert!(
+                plan.as_ref().is_some_and(RoutePlan::is_all_siro),
+                "after `{step}`: Siro plan {a} -> {b} leaves the Siro catalog: {plan:?}"
+            );
+        }
     }
 }
 
@@ -124,9 +147,13 @@ fn run_script(seed: u64, pairs: &[(DialectVersion, DialectVersion)]) {
     let store = Arc::new(TranslatorStore::open(StoreConfig::at(&dir.0)).expect("open store"));
     reset_all();
 
-    let memo = Router::with_wir();
-    let check =
-        |step: &str| assert_memo_matches_fresh(&memo, pairs, &format!("seed {seed}: {step}"));
+    let memo = Router::new();
+    let siro_only = Router::over(IrVersion::CATALOG.to_vec());
+    let check = |step: &str| {
+        let step = format!("seed {seed}: {step}");
+        assert_memo_matches_fresh(&memo, pairs, &step);
+        assert_siro_plans_match_siro_only(&memo, &siro_only, &step);
+    };
     check("all caches empty");
 
     // Populate the store: each of these also writes an entry, so the
@@ -208,7 +235,7 @@ fn memoized_plans_equal_fresh_plans_across_every_edge_transition() {
 #[test]
 fn hot_repeat_plans_build_at_most_one_graph() {
     let _serial = serial();
-    let router = Router::with_wir();
+    let router = Router::new();
     let (from, to) = (IrVersion::V13_0, IrVersion::V3_6);
     let before = router_stats().graph_builds;
     for _ in 0..1_000 {
@@ -241,7 +268,7 @@ fn tracing_changes_no_plan_and_adds_no_graph_builds() {
     let was_enabled = siro_trace::enabled();
 
     siro_trace::set_enabled(false);
-    let untraced = Router::with_wir();
+    let untraced = Router::new();
     let expected: Vec<Option<RoutePlan>> =
         pairs.iter().map(|&(a, b)| untraced.plan(a, b)).collect();
 
@@ -252,7 +279,7 @@ fn tracing_changes_no_plan_and_adds_no_graph_builds() {
         "the collector must hold the recorded spans"
     );
 
-    let traced = Router::with_wir();
+    let traced = Router::new();
     let got: Vec<Option<RoutePlan>> = pairs.iter().map(|&(a, b)| traced.plan(a, b)).collect();
     let before = router_stats().graph_builds;
     for _ in 0..5 {

@@ -14,8 +14,8 @@
 //! siro serve [--addr 127.0.0.1:4799] [--threads N] [--queue N] [--store DIR]
 //!           [--admission-rps N] [--admission-burst N]
 //! siro loadgen [--remote 127.0.0.1:4799] [--rates 1000,2000] [--connections N]
-//! siro route plan --from 13.0 --to 3.6 [--store DIR] [--dialects]
-//! siro route matrix [--store DIR] [--dialects]
+//! siro route plan --from 13.0 --to 3.6 [--store DIR]
+//! siro route matrix [--store DIR]
 //! siro store warm --dir DIR [--pairs 13.0:3.6,17.0:12.0]
 //! siro store ls --dir DIR
 //! siro store gc --dir DIR --max-bytes N
@@ -150,7 +150,7 @@ USAGE:
                [-o <json>]                           write a loadtest-v2 JSON report
     siro route plan --from <ver> --to <ver>          show the cheapest translation route
                [--store <dir>]                       classify edges against a store
-    siro route matrix [--store <dir>]                plan every catalog pair (hop-count grid)
+    siro route matrix [--store <dir>]                plan every pair of both catalogs (hop grid)
     siro store warm --dir <dir> [--pairs <a:b,...>]  synthesize and persist translators
                [--validation off|checksum|full]      (default pair 13.0:3.6)
     siro store ls --dir <dir>                        list persisted translators
@@ -312,15 +312,14 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
     if let Some(addr) = flag_value(args, "--remote") {
         return cmd_translate_remote(args, addr, to_any, path);
     }
-    // A WIR endpoint (either side) goes through the dual-catalog router;
-    // the classic Siro→Siro paths below are untouched.
+    // A WIR endpoint (either side) goes through the router.
     let Some(to) = to_any.as_siro() else {
-        return cmd_translate_cross(args, to_any, path);
+        return cmd_translate_routed(args, to_any, path);
     };
     {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         if siro::wir::parse::looks_like_wir(&text) {
-            return cmd_translate_cross(args, to_any, path);
+            return cmd_translate_routed(args, to_any, path);
         }
     }
     let m = load_module(path)?;
@@ -343,11 +342,11 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
 }
 
 /// `siro translate` with a WIR endpoint on either side: parse whichever
-/// dialect the file holds, acquire a composed route over the dual catalog
+/// dialect the file holds, acquire a composed route over both catalogs
 /// (WIR translator hops, anchor bridges), and emit the result in the
 /// target dialect. `--synthesized` is implied — there is no reference
 /// translator across dialects.
-fn cmd_translate_cross(
+fn cmd_translate_routed(
     args: &[String],
     to: siro::ir::DialectVersion,
     path: &str,
@@ -360,8 +359,8 @@ fn cmd_translate_cross(
     m.verify()
         .map_err(|e| format!("{path} does not verify: {e}"))?;
     let source = m.dialect_version();
-    eprintln!("routing {source} -> {to} over the dual catalog ...");
-    let router = Router::with_wir();
+    eprintln!("routing {source} -> {to} over both catalogs ...");
+    let router = Router::new();
     let acquired = router
         .acquire(source, to)
         .map_err(|e| format!("no translator for {source} -> {to}: {e}"))?;
@@ -608,15 +607,13 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `siro store <warm|ls|gc|verify>`: manage a persistent translator
-/// `siro route plan|matrix`: inspect the version-graph router (see
-/// `docs/ROUTING.md`). With `--store`, edges are classified against the
-/// persisted translators in that directory (warm vs cold).
+/// `siro route plan|matrix`: inspect the version-graph router over both
+/// catalogs (see `docs/ROUTING.md`). With `--store`, edges are classified
+/// against the persisted translators in that directory (warm vs cold).
 fn cmd_route(args: &[String]) -> Result<(), String> {
     use siro::synth::{self, Router, StoreConfig, TranslatorStore, ValidationMode};
 
-    const USAGE: &str = "usage: siro route <plan|matrix> [--from <ver> --to <ver>] \
-                         [--store <dir>] [--dialects]";
+    const USAGE: &str = "usage: siro route <plan|matrix> [--from <ver> --to <ver>] [--store <dir>]";
     let sub = args.first().map(String::as_str).ok_or(USAGE)?;
     let previous = match flag_value(args, "--store") {
         Some(dir) => {
@@ -630,13 +627,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    // `--dialects` widens the node set to both catalogs (WIR versions and
-    // the anchor bridges); the default stays Siro-only.
-    let router = if args.iter().any(|a| a == "--dialects") {
-        Router::with_wir()
-    } else {
-        Router::new()
-    };
+    let router = Router::new();
     let result = match sub {
         "plan" => {
             let from =
@@ -706,6 +697,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     result
 }
 
+/// `siro store <warm|ls|gc|verify>`: manage a persistent translator
 /// store directory (see `docs/PERSISTENCE.md`).
 fn cmd_store(args: &[String]) -> Result<(), String> {
     use siro::synth::{self, StoreConfig, TranslatorStore, ValidationMode};
