@@ -22,13 +22,13 @@
 //! Bridges exist only at **anchor pairs** ([`BRIDGE_ANCHORS`]): a bridge is
 //! validated once per pair over a corpus of generated straight-line modules
 //! (raise, round-trip lower, plus hand-written divergence cases) and the
-//! resulting certificate is persisted as a `.sirb` named store entry. The
-//! router treats a validated anchor as a warm edge; everything else
-//! cross-dialect is unreachable rather than silently mis-translated.
+//! validation is memoized for the life of the process. The router treats
+//! a validated anchor as a hot edge; everything else cross-dialect is
+//! unreachable rather than silently mis-translated.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use siro_ir::interp::{Machine, TrapKind};
 use siro_ir::{FuncBuilder, InstId, IntPredicate, IrVersion, Module, Opcode, Type, ValueRef};
@@ -37,7 +37,7 @@ use siro_wir::{
     WirTrap, WirVersion,
 };
 
-use crate::store::active_store;
+use crate::router::EdgeMemo;
 
 /// Fuel budget used when bucketing behaviour on either side of the bridge.
 pub const BRIDGE_FUEL: u64 = 200_000;
@@ -776,70 +776,21 @@ pub fn validate_bridge(siro: IrVersion, wir: WirVersion) -> Result<BridgeStats, 
     Ok(stats)
 }
 
-/// Store entry name for a bridge certificate, e.g. `b13.0-w2.0.sirb`.
-pub fn bridge_store_name(siro: IrVersion, wir: WirVersion) -> String {
-    format!("b{siro}-w{wir}.sirb")
-}
-
-fn render_certificate(o: &BridgeOutcome) -> String {
-    format!(
-        "SIRB 1\nsiro {}\nwir {}\nmodules {}\narith {}\n",
-        o.siro, o.wir, o.stats.modules_checked, o.stats.arith_cases
-    )
-}
-
-fn parse_version_pair(s: &str) -> Option<(u16, u16)> {
-    let (major, minor) = s.split_once('.')?;
-    Some((major.parse().ok()?, minor.parse().ok()?))
-}
-
-fn parse_certificate(text: &str) -> Option<(IrVersion, WirVersion)> {
-    let mut lines = text.lines();
-    if lines.next()? != "SIRB 1" {
-        return None;
-    }
-    let (smaj, smin) = parse_version_pair(lines.next()?.strip_prefix("siro ")?)?;
-    let (wmaj, wmin) = parse_version_pair(lines.next()?.strip_prefix("wir ")?)?;
-    Some((IrVersion::new(smaj, smin), WirVersion::new(wmaj, wmin)))
-}
-
-type BridgeCacheMap = HashMap<(IrVersion, WirVersion), Arc<BridgeOutcome>>;
-
-fn bridge_cache() -> &'static Mutex<BridgeCacheMap> {
-    static CACHE: OnceLock<Mutex<BridgeCacheMap>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// The validated bridges, keyed by their anchor pair.
+static BRIDGE_MEMO: EdgeMemo<(IrVersion, WirVersion), BridgeOutcome> = EdgeMemo::new();
 
 /// Whether the `(siro, wir)` bridge is already validated in this process.
 pub fn bridge_is_hot(siro: IrVersion, wir: WirVersion) -> bool {
-    bridge_cache()
-        .lock()
-        .expect("bridge cache poisoned")
-        .contains_key(&(siro, wir))
+    BRIDGE_MEMO.is_hot(&(siro, wir))
 }
 
-/// Drops every memoized bridge certificate (tests).
+/// Drops every memoized bridge validation (tests).
 pub fn reset_bridge_cache() {
-    bridge_cache()
-        .lock()
-        .expect("bridge cache poisoned")
-        .clear();
-    crate::router::bump_edge_epoch();
+    BRIDGE_MEMO.reset();
 }
 
-/// Memoizes `outcome` for its anchor; the bridge edges turn hot.
-fn insert_bridge(outcome: &Arc<BridgeOutcome>) {
-    bridge_cache()
-        .lock()
-        .expect("bridge cache poisoned")
-        .insert((outcome.siro, outcome.wir), Arc::clone(outcome));
-    crate::router::bump_edge_epoch();
-}
-
-/// Memoized bridge acquisition: process cache, then the active store's
-/// `.sirb` certificate (re-validated on load), then fresh validation
-/// (persisted on success). The `bool` is `true` when this call validated
-/// from scratch.
+/// Memoized bridge acquisition: the process cache, otherwise fresh
+/// validation. The `bool` is `true` when this call validated.
 ///
 /// # Errors
 ///
@@ -852,32 +803,10 @@ pub fn bridge_cached(
     if !is_anchor_pair(siro, wir) {
         return Err(BridgeError::NotAnAnchor(siro, wir));
     }
-    if let Some(hit) = bridge_cache()
-        .lock()
-        .expect("bridge cache poisoned")
-        .get(&(siro, wir))
-    {
-        return Ok((Arc::clone(hit), false));
-    }
-    if let Some(store) = active_store() {
-        if let Some(text) = store.load_named(&bridge_store_name(siro, wir)) {
-            if parse_certificate(&text) == Some((siro, wir)) {
-                if let Ok(stats) = validate_bridge(siro, wir) {
-                    let outcome = Arc::new(BridgeOutcome { siro, wir, stats });
-                    insert_bridge(&outcome);
-                    siro_trace::counter("bridge.store_hits", 1);
-                    return Ok((outcome, false));
-                }
-            }
-        }
-    }
-    let stats = validate_bridge(siro, wir)?;
-    let outcome = Arc::new(BridgeOutcome { siro, wir, stats });
-    if let Some(store) = active_store() {
-        let _ = store.save_named(&bridge_store_name(siro, wir), &render_certificate(&outcome));
-    }
-    insert_bridge(&outcome);
-    Ok((outcome, true))
+    BRIDGE_MEMO.get_or_try_insert_with((siro, wir), || {
+        let stats = validate_bridge(siro, wir)?;
+        Ok(BridgeOutcome { siro, wir, stats })
+    })
 }
 
 #[cfg(test)]
@@ -967,23 +896,5 @@ mod tests {
             raise_module(&w, IrVersion::V13_0),
             Err(BridgeError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn certificate_round_trips() {
-        let o = BridgeOutcome {
-            siro: IrVersion::V13_0,
-            wir: WirVersion::W2_0,
-            stats: BridgeStats {
-                modules_checked: 103,
-                arith_cases: 9,
-            },
-        };
-        let text = render_certificate(&o);
-        assert_eq!(
-            parse_certificate(&text),
-            Some((IrVersion::V13_0, WirVersion::W2_0))
-        );
-        assert_eq!(bridge_store_name(o.siro, o.wir), "b13.0-w2.0.sirb");
     }
 }

@@ -70,9 +70,9 @@ pub mod typegraph;
 pub mod wir;
 
 pub use bridge::{
-    bridge_cached, bridge_is_hot, bridge_store_name, is_anchor_pair, lower_module, raise_module,
-    reset_bridge_cache, siro_behaviour, validate_bridge, wir_behaviour, BridgeError, BridgeOutcome,
-    BridgeStats, XBehaviour, BRIDGE_ANCHORS, BRIDGE_FUEL, BRIDGE_SEEDS,
+    bridge_cached, bridge_is_hot, is_anchor_pair, lower_module, raise_module, reset_bridge_cache,
+    siro_behaviour, validate_bridge, wir_behaviour, BridgeError, BridgeOutcome, BridgeStats,
+    XBehaviour, BRIDGE_ANCHORS, BRIDGE_FUEL, BRIDGE_SEEDS,
 };
 pub use cache::{
     corpus_fingerprint, synthesize_all, CacheLookup, CacheShardStats, CacheSnapshot, CacheStats,
@@ -102,6 +102,6 @@ pub use store::{
 };
 pub use typegraph::TypeGraph;
 pub use wir::{
-    reset_wir_cache, synthesize_wir, validate_wir_translator, wir_pair_is_hot, wir_store_name,
-    wir_translator_cached, WirOutcome, WirSynthError, WirSynthStats, WirTranslator,
+    reset_wir_cache, synthesize_wir, wir_pair_is_hot, wir_translator_cached, WirOutcome,
+    WirSynthError, WirSynthStats, WirTranslator,
 };

@@ -35,8 +35,10 @@
 //!
 //! * **Hot** — a successful outcome sits in the in-memory cache for its
 //!   kind ([`COST_HOT_US`] ≈ an `Arc` clone);
-//! * **Warm** — a persisted entry (`.sirt`, `.sirw`, or `.sirb`) exists in
-//!   the attached [`TranslatorStore`] ([`COST_WARM_US`] ≈ read + validate);
+//! * **Warm** — a Siro edge whose `.sirt` entry exists in the attached
+//!   [`TranslatorStore`] ([`COST_WARM_US`] ≈ read + validate). WIR
+//!   translators and bridge validations are per-process memos
+//!   (`EdgeMemo`), so their edges are only ever hot or cold;
 //! * **Cold** — the translator must be synthesized or the bridge validated
 //!   ([`COST_COLD_US`] ≈ a measured full-corpus synthesis).
 //!
@@ -64,24 +66,25 @@
 //!    where no direct synthesis exists — the error propagates.
 //!
 //! Composed chains are memoized per process (the router's composed
-//! cache). Each hop's translator persists in its own store entry, so a
-//! restarted process re-composes a chain from warm hops.
+//! cache) and served only while the current plan is the chain's plan.
+//! Each Siro hop's translator persists in its own store entry, so a
+//! restarted process re-composes a chain from warm Siro hops; WIR and
+//! bridge hops are synthesized or validated again.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use siro_ir::{Dialect, DialectVersion, IrVersion, Module};
 use siro_wir::{AnyModule, WirVersion};
 
-use crate::bridge::{
-    bridge_cached, bridge_is_hot, bridge_store_name, is_anchor_pair, BridgeOutcome,
-};
+use crate::bridge::{bridge_cached, bridge_is_hot, is_anchor_pair, BridgeOutcome};
 use crate::cache::{CacheLookup, TranslatorCache};
 use crate::driver::{SynthError, SynthesisConfig, SynthesisOutcome};
 use crate::pertest::OracleTest;
 use crate::store::{active_store, oracle_corpus, StoreKey, TranslatorStore};
-use crate::wir::{wir_pair_is_hot, wir_store_name, wir_translator_cached, WirOutcome};
+use crate::wir::{wir_pair_is_hot, wir_translator_cached, WirOutcome};
 
 /// Cost (µs) of an edge whose translator is in the in-memory cache.
 pub const COST_HOT_US: u64 = 10;
@@ -107,6 +110,54 @@ fn edge_epoch() -> u64 {
 /// is then stored under an epoch that is already stale.
 pub(crate) fn bump_edge_epoch() {
     EDGE_EPOCH.fetch_add(1, Ordering::AcqRel);
+}
+
+/// A process-wide memo of edge translators that live only in memory (WIR
+/// translators, validated bridges). A key is present exactly while its
+/// edge is Hot, so every insert and reset bumps the edge epoch.
+pub(crate) struct EdgeMemo<K, V>(OnceLock<Mutex<HashMap<K, Arc<V>>>>);
+
+impl<K, V> EdgeMemo<K, V> {
+    /// An empty memo, usable in a `static`.
+    pub(crate) const fn new() -> Self {
+        EdgeMemo(OnceLock::new())
+    }
+}
+
+impl<K: Eq + Hash, V> EdgeMemo<K, V> {
+    fn map(&self) -> MutexGuard<'_, HashMap<K, Arc<V>>> {
+        self.0
+            .get_or_init(Default::default)
+            .lock()
+            .expect("edge memo poisoned")
+    }
+
+    /// Whether `key`'s edge is Hot.
+    pub(crate) fn is_hot(&self, key: &K) -> bool {
+        self.map().contains_key(key)
+    }
+
+    /// The memoized value for `key`, or `make()`'s, memoized on success.
+    /// The `bool` is `true` when this call ran `make`.
+    pub(crate) fn get_or_try_insert_with<E>(
+        &self,
+        key: K,
+        make: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, bool), E> {
+        if let Some(hit) = self.map().get(&key) {
+            return Ok((Arc::clone(hit), false));
+        }
+        let value = Arc::new(make()?);
+        self.map().insert(key, Arc::clone(&value));
+        bump_edge_epoch();
+        Ok((value, true))
+    }
+
+    /// Drops every memoized value; every edge it held turns Cold.
+    pub(crate) fn reset(&self) {
+        self.map().clear();
+        bump_edge_epoch();
+    }
 }
 
 /// Extracts the WIR-family version, if `v` names one.
@@ -645,17 +696,10 @@ impl Router {
                 })
             }
             (Dialect::Wir, Dialect::Wir) => {
-                let (wa, wb) = (as_wir(a)?, as_wir(b)?);
-                Some(if wir_pair_is_hot(wa, wb) {
-                    EdgeClass::Hot
-                } else if store.is_some_and(|s| s.named_path(&wir_store_name(wa, wb)).exists()) {
-                    EdgeClass::Warm
-                } else {
-                    EdgeClass::Cold
-                })
+                Some(hot_or_cold(wir_pair_is_hot(as_wir(a)?, as_wir(b)?)))
             }
-            (Dialect::Siro, Dialect::Wir) => anchor_class(a.as_siro()?, as_wir(b)?, store),
-            (Dialect::Wir, Dialect::Siro) => anchor_class(b.as_siro()?, as_wir(a)?, store),
+            (Dialect::Siro, Dialect::Wir) => anchor_class(a.as_siro()?, as_wir(b)?),
+            (Dialect::Wir, Dialect::Siro) => anchor_class(b.as_siro()?, as_wir(a)?),
         }
     }
 
@@ -824,18 +868,21 @@ impl Router {
             });
         }
 
-        // Composed route: serve from the composed cache when possible.
-        if let Some(chain) = self
+        // Composed route: serve the memoized chain while it follows the
+        // current plan; a changed plan composes a new chain.
+        let memoized = self
             .composed
             .lock()
             .expect("router composed cache poisoned")
             .get(&(from, to))
-        {
+            .filter(|chain| chain.plan == plan)
+            .map(Arc::clone);
+        if let Some(chain) = memoized {
             COMPOSED.fetch_add(1, Ordering::Relaxed);
             COMPOSED_CACHED.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("route.composed_cached", 1);
             return Ok(Acquired {
-                outcome: RouteOutcome::Composed(Arc::clone(chain)),
+                outcome: RouteOutcome::Composed(chain),
                 plan,
                 fresh: false,
                 fell_back: false,
@@ -1014,20 +1061,20 @@ impl Router {
     }
 }
 
+/// The class of an edge backed by an [`EdgeMemo`]: nothing persists it.
+fn hot_or_cold(hot: bool) -> EdgeClass {
+    if hot {
+        EdgeClass::Hot
+    } else {
+        EdgeClass::Cold
+    }
+}
+
 /// Edge class for a cross-dialect anchor, or `None` when `(s, w)` is not
 /// an anchor pair — the non-edge that makes unbridged cross-dialect
 /// requests unreachable.
-fn anchor_class(s: IrVersion, w: WirVersion, store: Option<&TranslatorStore>) -> Option<EdgeClass> {
-    if !is_anchor_pair(s, w) {
-        return None;
-    }
-    Some(if bridge_is_hot(s, w) {
-        EdgeClass::Hot
-    } else if store.is_some_and(|st| st.named_path(&bridge_store_name(s, w)).exists()) {
-        EdgeClass::Warm
-    } else {
-        EdgeClass::Cold
-    })
+fn anchor_class(s: IrVersion, w: WirVersion) -> Option<EdgeClass> {
+    is_anchor_pair(s, w).then(|| hot_or_cold(bridge_is_hot(s, w)))
 }
 
 #[cfg(test)]
@@ -1199,6 +1246,39 @@ mod tests {
                 case.name
             );
         }
+    }
+
+    #[test]
+    fn a_changed_plan_replaces_the_memoized_chain() {
+        // 13.0 -> 10.0 first composes three hot hops through 12.0 and
+        // 11.0. Once 12.0 -> 10.0 turns hot the plan takes two hops, and
+        // the chain served must follow it, not the memoized three-hop one.
+        let (a, b, c, d) = (
+            IrVersion::V13_0,
+            IrVersion::V12_0,
+            IrVersion::V11_0,
+            IrVersion::V10_0,
+        );
+        let r = Router::over(vec![a, b, c, d]);
+        let make_hot = |s, t| {
+            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &r.corpus(s, t))
+                .expect("hop synthesis");
+        };
+        for (s, t) in [(a, b), (b, c), (c, d)] {
+            make_hot(s, t);
+        }
+        let first = r.acquire(a, d).expect("acquire");
+        assert_eq!(first.plan.hop_count(), 3, "{}", first.plan.describe());
+
+        make_hot(b, d);
+        let acquired = r
+            .acquire(a, d)
+            .expect("acquire after 12.0 -> 10.0 turned hot");
+        assert_eq!(acquired.plan.hop_count(), 2, "{}", acquired.plan.describe());
+        let RouteOutcome::Composed(chain) = &acquired.outcome else {
+            panic!("hot hops must compose");
+        };
+        assert_eq!(acquired.plan, chain.plan, "served a stale chain");
     }
 
     // ---- dialect-aware routing ------------------------------------------

@@ -773,8 +773,10 @@ pub struct StoreConfig {
     pub dir: PathBuf,
     /// Validation applied by [`TranslatorStore::load`].
     pub validation: ValidationMode,
-    /// When set, [`TranslatorStore::save`] garbage-collects
-    /// least-recently-used entries down to this many bytes.
+    /// When set, [`TranslatorStore::save`] and
+    /// [`TranslatorStore::save_compiled`] garbage-collect
+    /// least-recently-used entries down to this many bytes, `.sirx`
+    /// siblings included.
     pub max_bytes: Option<u64>,
 }
 
@@ -812,9 +814,9 @@ pub struct GcReport {
     pub removed: usize,
     /// Orphaned temp files swept.
     pub stale_tmp_removed: usize,
-    /// Total entry bytes before collection.
+    /// Total entry bytes (`.sirx` siblings included) before collection.
     pub bytes_before: u64,
-    /// Total entry bytes after collection.
+    /// Total entry bytes (`.sirx` siblings included) after collection.
     pub bytes_after: u64,
 }
 
@@ -969,7 +971,8 @@ impl TranslatorStore {
 
     /// Least-recently-used collection: sweeps stale temp files, then
     /// deletes the oldest entries until the directory holds at most
-    /// `max_bytes` of entries.
+    /// `max_bytes` of entries. An entry's size includes its compiled
+    /// (`.sirx`) sibling, which goes with it.
     ///
     /// # Errors
     ///
@@ -993,18 +996,27 @@ impl TranslatorStore {
                 report.stale_tmp_removed += 1;
             }
         }
-        let mut entries = self.entries()?;
-        entries.sort_by_key(|e| e.modified);
+        let mut entries: Vec<(StoreEntry, u64)> = self
+            .entries()?
+            .into_iter()
+            .map(|e| {
+                let sibling =
+                    fs::metadata(e.path.with_extension(COMPILED_EXT)).map_or(0, |m| m.len());
+                let bytes = e.bytes + sibling;
+                (e, bytes)
+            })
+            .collect();
+        entries.sort_by_key(|(e, _)| e.modified);
         report.scanned = entries.len();
-        report.bytes_before = entries.iter().map(|e| e.bytes).sum();
+        report.bytes_before = entries.iter().map(|(_, bytes)| bytes).sum();
         report.bytes_after = report.bytes_before;
-        for entry in &entries {
+        for (entry, bytes) in &entries {
             if report.bytes_after <= max_bytes {
                 break;
             }
             if fs::remove_file(&entry.path).is_ok() {
                 report.removed += 1;
-                report.bytes_after -= entry.bytes;
+                report.bytes_after -= bytes;
                 siro_trace::counter("store.gc_removed", 1);
                 // A compiled sibling without its entry is an orphan; sweep
                 // it with the entry (best-effort).
@@ -1026,7 +1038,8 @@ impl TranslatorStore {
 
     /// Atomically persists the compiled form of an outcome next to its
     /// `.sirt` entry (unique temp file + `rename`, like
-    /// [`TranslatorStore::save`]).
+    /// [`TranslatorStore::save`]), then runs the size-cap GC when one is
+    /// configured.
     ///
     /// # Errors
     ///
@@ -1051,6 +1064,9 @@ impl TranslatorStore {
             return write;
         }
         note_sirx_write();
+        if let Some(cap) = self.config.max_bytes {
+            let _ = self.gc(cap);
+        }
         Ok(())
     }
 
@@ -1071,58 +1087,6 @@ impl TranslatorStore {
                 None
             }
         }
-    }
-
-    /// The path of a named plaintext entry (`name` carries its own
-    /// extension, e.g. `w1.0-t3.0.sirw`).
-    pub fn named_path(&self, name: &str) -> PathBuf {
-        self.config.dir.join(name)
-    }
-
-    /// Atomically persists a named plaintext entry with a trailing FNV-1a
-    /// checksum line — the persistence channel for non-Siro translator
-    /// payloads (`.sirw` WIR translators, `.sirb` bridge certificates)
-    /// that share the store directory with `.sirt`/`.sirx` entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (the temp file is cleaned up).
-    pub fn save_named(&self, name: &str, text: &str) -> io::Result<()> {
-        let mut bytes = text.as_bytes().to_vec();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
-        let final_path = self.named_path(name);
-        let tmp_path = self.config.dir.join(format!(
-            ".{name}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let write = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return write;
-        }
-        siro_trace::counter("store.named_writes", 1);
-        crate::router::bump_edge_epoch();
-        Ok(())
-    }
-
-    /// Loads a named plaintext entry and validates its checksum line.
-    /// Returns the body (checksum line stripped); a missing file or a
-    /// checksum mismatch returns `None` — the caller re-synthesizes.
-    pub fn load_named(&self, name: &str) -> Option<String> {
-        let text = fs::read_to_string(self.named_path(name)).ok()?;
-        let body = text.strip_suffix('\n').unwrap_or(&text);
-        let (body, checksum_line) = body.rsplit_once('\n')?;
-        let body = format!("{body}\n");
-        let expected = checksum_line.strip_prefix("checksum ")?;
-        let expected = u64::from_str_radix(expected.trim(), 16).ok()?;
-        (fnv1a64(body.as_bytes()) == expected).then_some(body)
     }
 
     /// Fully re-validates every entry against the *current* oracle corpus

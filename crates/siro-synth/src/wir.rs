@@ -20,19 +20,19 @@
 //! probes pin the trap semantics.
 //!
 //! Successful syntheses are memoized process-wide (the WIR analogue of
-//! [`crate::cache::TranslatorCache`]) and persisted to the active
-//! translator store ([`crate::store`]) as `.sirw` entries that are
-//! re-validated against the full probe suite on load.
+//! [`crate::cache::TranslatorCache`]). They are not persisted: a cold pair
+//! synthesizes in about half a millisecond, only ≈0.1 ms more than
+//! loading and re-validating a stored copy took.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use siro_wir::{
     verify_module, WBin, WCmp, WKind, WTy, WirApiImpl, WirEmit, WirFunc, WirInst, WirMachine,
     WirModule, WirRegistry, WirVersion,
 };
 
-use crate::store::active_store;
+use crate::router::EdgeMemo;
 
 /// A synthesized WIR→WIR translator: one target-registry builder per
 /// source instruction kind.
@@ -434,58 +434,6 @@ impl WirTranslator {
         }
         Ok(out)
     }
-
-    /// Renders the translator as persistable text (the `.sirw` payload).
-    pub fn render(&self) -> String {
-        let mut out = format!("SIRW 1\nfrom {}\nto {}\n", self.from, self.to);
-        for (kind, builder) in &self.arms {
-            out.push_str(&format!("arm {} {}\n", kind.name(), builder));
-        }
-        out
-    }
-
-    /// Parses a rendered translator.
-    ///
-    /// # Errors
-    ///
-    /// [`WirSynthError`] on a malformed payload or unknown kind/version.
-    pub fn parse(text: &str) -> Result<WirTranslator, WirSynthError> {
-        let mut lines = text.lines();
-        if lines.next() != Some("SIRW 1") {
-            return Err(err("missing SIRW 1 header"));
-        }
-        let ver = |line: Option<&str>, tag: &str| -> Result<WirVersion, WirSynthError> {
-            let l = line.ok_or_else(|| err(format!("missing {tag} line")))?;
-            let v = l
-                .strip_prefix(tag)
-                .and_then(|s| s.strip_prefix(' '))
-                .ok_or_else(|| err(format!("bad {tag} line {l:?}")))?;
-            let (maj, min) = v
-                .split_once('.')
-                .ok_or_else(|| err(format!("bad version {v}")))?;
-            Ok(WirVersion::new(
-                maj.parse().map_err(|_| err(format!("bad version {v}")))?,
-                min.parse().map_err(|_| err(format!("bad version {v}")))?,
-            ))
-        };
-        let from = ver(lines.next(), "from")?;
-        let to = ver(lines.next(), "to")?;
-        let mut arms = BTreeMap::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("arm ")
-                .ok_or_else(|| err(format!("bad line {line:?}")))?;
-            let (kind, builder) = rest
-                .split_once(' ')
-                .ok_or_else(|| err(format!("bad arm {rest:?}")))?;
-            let kind = WKind::parse(kind).ok_or_else(|| err(format!("unknown kind {kind}")))?;
-            arms.insert(kind, builder.to_string());
-        }
-        Ok(WirTranslator { from, to, arms })
-    }
 }
 
 /// Synthesizes the `(from, to)` WIR translator by per-kind candidate
@@ -537,62 +485,22 @@ pub fn synthesize_wir(from: WirVersion, to: WirVersion) -> Result<WirOutcome, Wi
     })
 }
 
-/// Validates a (loaded) translator against the full probe suite — the
-/// `.sirw` analogue of the store's validate-on-load for `.sirt` entries.
-pub fn validate_wir_translator(t: &WirTranslator) -> Result<(), WirSynthError> {
-    for kind in t.from.instruction_set() {
-        if !t.arms.contains_key(&kind) {
-            return Err(err(format!("missing arm for {kind:?}")));
-        }
-        for p in probes_for(kind, t.from) {
-            let translated = t.translate_module(&p)?;
-            if !probe_passes(&p, &translated) {
-                return Err(err(format!("probe regression for {kind:?}")));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The store entry name for a WIR pair, e.g. `w1.0-t3.0.sirw`.
-pub fn wir_store_name(from: WirVersion, to: WirVersion) -> String {
-    format!("w{from}-t{to}.sirw")
-}
-
-type WirCacheMap = HashMap<(WirVersion, WirVersion), Arc<WirOutcome>>;
-
-fn wir_cache() -> &'static Mutex<WirCacheMap> {
-    static CACHE: OnceLock<Mutex<WirCacheMap>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// The memoized WIR translators, keyed by `(from, to)`.
+static WIR_MEMO: EdgeMemo<(WirVersion, WirVersion), WirOutcome> = EdgeMemo::new();
 
 /// Whether the `(from, to)` WIR translator is in the process cache
 /// (the router's Hot classification for WIR edges).
 pub fn wir_pair_is_hot(from: WirVersion, to: WirVersion) -> bool {
-    wir_cache()
-        .lock()
-        .expect("wir cache poisoned")
-        .contains_key(&(from, to))
+    WIR_MEMO.is_hot(&(from, to))
 }
 
 /// Drops every memoized WIR translator (tests).
 pub fn reset_wir_cache() {
-    wir_cache().lock().expect("wir cache poisoned").clear();
-    crate::router::bump_edge_epoch();
+    WIR_MEMO.reset();
 }
 
-/// Memoizes `outcome` for `(from, to)`; the edge turns hot.
-fn insert_wir(from: WirVersion, to: WirVersion, outcome: &Arc<WirOutcome>) {
-    wir_cache()
-        .lock()
-        .expect("wir cache poisoned")
-        .insert((from, to), Arc::clone(outcome));
-    crate::router::bump_edge_epoch();
-}
-
-/// Memoized acquisition: process cache, then the active store's `.sirw`
-/// entry (re-validated on load), then fresh synthesis (persisted on
-/// success). The `bool` is `true` when this call synthesized.
+/// Memoized acquisition: the process cache, otherwise fresh synthesis.
+/// The `bool` is `true` when this call synthesized.
 ///
 /// # Errors
 ///
@@ -601,34 +509,7 @@ pub fn wir_translator_cached(
     from: WirVersion,
     to: WirVersion,
 ) -> Result<(Arc<WirOutcome>, bool), WirSynthError> {
-    if let Some(hit) = wir_cache()
-        .lock()
-        .expect("wir cache poisoned")
-        .get(&(from, to))
-    {
-        return Ok((Arc::clone(hit), false));
-    }
-    if let Some(store) = active_store() {
-        if let Some(text) = store.load_named(&wir_store_name(from, to)) {
-            if let Ok(t) = WirTranslator::parse(&text) {
-                if t.from == from && t.to == to && validate_wir_translator(&t).is_ok() {
-                    let outcome = Arc::new(WirOutcome {
-                        translator: t,
-                        stats: WirSynthStats::default(),
-                    });
-                    insert_wir(from, to, &outcome);
-                    siro_trace::counter("wir.store_hits", 1);
-                    return Ok((outcome, false));
-                }
-            }
-        }
-    }
-    let outcome = Arc::new(synthesize_wir(from, to)?);
-    if let Some(store) = active_store() {
-        let _ = store.save_named(&wir_store_name(from, to), &outcome.translator.render());
-    }
-    insert_wir(from, to, &outcome);
-    Ok((outcome, true))
+    WIR_MEMO.get_or_try_insert_with((from, to), || synthesize_wir(from, to))
 }
 
 #[cfg(test)]
@@ -722,15 +603,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn render_parse_round_trips_and_revalidates() {
-        let out = synthesize_wir(WirVersion::W3_0, WirVersion::W1_0).unwrap();
-        let text = out.translator.render();
-        assert!(text.starts_with("SIRW 1\nfrom 3.0\nto 1.0\n"));
-        let back = WirTranslator::parse(&text).unwrap();
-        assert_eq!(back.arms, out.translator.arms);
-        validate_wir_translator(&back).unwrap();
     }
 }

@@ -5,7 +5,7 @@
 //! that can change an edge's class bumps that epoch. This test drives a
 //! seeded script through each such transition — Siro synthesis, store
 //! adoption (lookup and warm start), WIR and bridge cache inserts, every
-//! cache reset, `save`, `save_named`, `gc`, attaching and detaching the
+//! cache reset, `save`, `gc`, attaching and detaching the
 //! store — and after each step requires every one of the 240 plans of one
 //! long-lived router over both catalogs to equal the cheapest path over a
 //! graph built from scratch, and each of its 156 Siro plans to equal the
@@ -25,8 +25,8 @@ use siro_rng::seq::SliceRandom;
 use siro_rng::{Rng, SeedableRng, StdRng};
 use siro_synth::{
     bridge_cached, corpus_fingerprint, oracle_corpus, reset_bridge_cache, reset_wir_cache,
-    router_stats, set_active_store, synthesize_wir, wir_store_name, wir_translator_cached,
-    StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore, BRIDGE_ANCHORS,
+    router_stats, set_active_store, wir_translator_cached, StoreConfig, StoreKey, SynthesisConfig,
+    TranslatorCache, TranslatorStore, BRIDGE_ANCHORS,
 };
 use siro_synth::{RoutePlan, Router};
 use siro_wir::WirVersion;
@@ -138,10 +138,10 @@ fn run_script(seed: u64, pairs: &[(DialectVersion, DialectVersion)]) {
     let siro = shuffled_pairs(&IrVersion::CATALOG, &mut rng);
     let wir = shuffled_pairs(&WirVersion::CATALOG, &mut rng);
     let ((a, b), (c, d)) = (siro[0], siro[1]);
-    let ((w1, w2), (w3, w4), (w5, w6)) = (wir[0], wir[1], wir[2]);
+    let ((w1, w2), (w3, w4)) = (wir[0], wir[1]);
     let anchor = rng.gen_range(0..BRIDGE_ANCHORS.len());
-    let (stored_s, stored_w) = BRIDGE_ANCHORS[anchor];
-    let (bare_s, bare_w) = BRIDGE_ANCHORS[1 - anchor];
+    let (anchor_s, anchor_w) = BRIDGE_ANCHORS[anchor];
+    let (other_s, other_w) = BRIDGE_ANCHORS[1 - anchor];
 
     let dir = TempDir::new(&seed.to_string());
     let store = Arc::new(TranslatorStore::open(StoreConfig::at(&dir.0)).expect("open store"));
@@ -156,16 +156,17 @@ fn run_script(seed: u64, pairs: &[(DialectVersion, DialectVersion)]) {
     };
     check("all caches empty");
 
-    // Populate the store: each of these also writes an entry, so the
-    // mutations are checked one by one further down.
+    // Populate the store and the in-memory caches; the Siro synthesis also
+    // writes an entry, so its mutations are checked one by one further
+    // down.
     set_active_store(Some(Arc::clone(&store)));
     check("attach an empty store");
     memo.acquire(a, b).expect("synthesize the first Siro pair");
     check("Siro synthesis, written back to the store");
     wir_translator_cached(w1, w2).expect("synthesize a WIR pair");
-    check("WIR synthesis, written back to the store");
-    bridge_cached(stored_s, stored_w).expect("validate a bridge");
-    check("bridge validation, written back to the store");
+    check("WIR synthesis");
+    bridge_cached(anchor_s, anchor_w).expect("validate a bridge");
+    check("bridge validation");
 
     TranslatorCache::reset();
     check("translator cache reset (the Siro pair turns warm)");
@@ -183,9 +184,9 @@ fn run_script(seed: u64, pairs: &[(DialectVersion, DialectVersion)]) {
     check("store adoption by warm start");
 
     reset_wir_cache();
-    check("WIR cache reset (the WIR pair turns warm)");
+    check("WIR cache reset (the WIR pair turns cold)");
     reset_bridge_cache();
-    check("bridge cache reset (the anchor turns warm)");
+    check("bridge cache reset (the anchor turns cold)");
 
     set_active_store(None);
     check("detach the store");
@@ -196,7 +197,7 @@ fn run_script(seed: u64, pairs: &[(DialectVersion, DialectVersion)]) {
     check("translator cache slot populated by synthesis");
     wir_translator_cached(w3, w4).expect("synthesize a second WIR pair");
     check("WIR cache insert");
-    bridge_cached(bare_s, bare_w).expect("validate the other bridge");
+    bridge_cached(other_s, other_w).expect("validate the other bridge");
     check("bridge cache insert");
     TranslatorCache::reset();
     check("translator cache reset with no store attached");
@@ -206,11 +207,6 @@ fn run_script(seed: u64, pairs: &[(DialectVersion, DialectVersion)]) {
     let cd_key = StoreKey::new(&cd_config, corpus_fingerprint(&cd_corpus));
     store.save(&cd_key, &cd.outcome).expect("save");
     check("store save");
-    let named = synthesize_wir(w5, w6).expect("synthesize a third WIR pair");
-    store
-        .save_named(&wir_store_name(w5, w6), &named.translator.render())
-        .expect("save_named");
-    check("store save_named");
     let report = store.gc(0).expect("gc");
     assert!(
         report.removed >= 2,

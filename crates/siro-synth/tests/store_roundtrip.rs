@@ -7,13 +7,15 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use siro_core::Skeleton;
 use siro_ir::{write, IrVersion};
 use siro_synth::store::{decode_entry, encode_entry, peek_key};
 use siro_synth::{
-    corpus_fingerprint, oracle_corpus, OracleTest, StoreConfig, StoreKey, SynthesisConfig,
-    SynthesisOutcome, Synthesizer, TranslatorStore, ValidationMode,
+    corpus_fingerprint, oracle_corpus, set_active_store, OracleTest, StoreConfig, StoreKey,
+    SynthesisConfig, SynthesisOutcome, Synthesizer, TranslatorCache, TranslatorStore,
+    ValidationMode,
 };
 
 /// A unique scratch directory per call; best-effort removed by `TempDir`'s
@@ -185,4 +187,64 @@ fn lru_gc_keeps_the_most_recently_used_entries() {
     let report = store.gc(0).expect("gc to zero");
     assert_eq!(report.removed, 1);
     assert_eq!(report.bytes_after, 0);
+}
+
+/// Total bytes of every file in `dir`, whatever its extension.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|e| e.expect("dirent").metadata().expect("metadata").len())
+        .sum()
+}
+
+#[test]
+fn size_cap_bounds_every_file_in_the_directory() {
+    // The one test in this file that touches the process-global cache and
+    // store attachment.
+    let pairs = [
+        (IrVersion::V13_0, IrVersion::V3_6),
+        (IrVersion::V17_0, IrVersion::V12_0),
+    ];
+    let synthesize_all = |store: TranslatorStore| -> PathBuf {
+        let dir = store.dir().to_path_buf();
+        TranslatorCache::reset();
+        set_active_store(Some(Arc::new(store)));
+        for (a, b) in pairs {
+            TranslatorCache::lookup_or_synthesize(
+                SynthesisConfig::new(a, b),
+                &oracle_corpus(a, b)[..6],
+            )
+            .expect("synthesis");
+        }
+        set_active_store(None);
+        dir
+    };
+
+    // Uncapped, each synthesis leaves an entry and its compiled sibling.
+    let sizes = TempDir::new("cap-sizes");
+    let dir = synthesize_all(TranslatorStore::open(StoreConfig::at(&sizes.0)).expect("open"));
+    let store = TranslatorStore::open(StoreConfig::at(&dir)).expect("reopen");
+    let entries = store.entries().expect("entries");
+    assert_eq!(entries.len(), 2, "one entry per pair");
+    let sirx = |e: &siro_synth::StoreEntry| {
+        std::fs::metadata(e.path.with_extension("sirx")).map_or(0, |m| m.len())
+    };
+    assert!(
+        entries.iter().all(|e| sirx(e) > 0),
+        "every entry has a compiled sibling"
+    );
+
+    // A cap that holds both entries but only the second one's sibling:
+    // the oldest entry must go, and with it its sibling.
+    let cap = entries.iter().map(|e| e.bytes).sum::<u64>()
+        + entries.iter().map(sirx).min().expect("two entries");
+    let capped = TempDir::new("cap");
+    let config = StoreConfig {
+        max_bytes: Some(cap),
+        ..StoreConfig::at(&capped.0)
+    };
+    let dir = synthesize_all(TranslatorStore::open(config).expect("open capped"));
+    let total = dir_bytes(&dir);
+    assert!(total <= cap, "store holds {total} B over its {cap} B cap");
+    assert!(total > 0, "the newest entry fits the cap and must survive");
 }

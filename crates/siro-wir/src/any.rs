@@ -9,7 +9,6 @@ use siro_ir::{DialectVersion, Module};
 
 use crate::module::WirModule;
 use crate::parse::{looks_like_wir, parse_module};
-use crate::version::WirVersion;
 
 /// A module of either dialect.
 #[derive(Debug, Clone)]
@@ -76,22 +75,10 @@ impl AnyModule {
     }
 }
 
-/// Parses text that must be WIR at a specific expected version, for store
-/// round-trips where the version is known from the key.
-pub fn parse_wir_expecting(text: &str, version: WirVersion) -> Result<WirModule, String> {
-    let m = parse_module(text).map_err(|e| e.to_string())?;
-    if m.version != version {
-        return Err(format!(
-            "version mismatch: text says {}, expected {}",
-            m.version, version
-        ));
-    }
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::WirVersion;
     use siro_ir::Dialect;
 
     #[test]

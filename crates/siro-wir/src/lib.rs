@@ -42,7 +42,7 @@ pub mod validate;
 pub mod version;
 pub mod write;
 
-pub use any::{parse_wir_expecting, AnyModule};
+pub use any::AnyModule;
 pub use api::{WirApiFn, WirApiImpl, WirApiType, WirApiValue, WirEmit, WirRegistry};
 pub use gen::{generate_module, generate_straightline};
 pub use inst::{WBin, WCmp, WKind, WTy, WirInst};
